@@ -2,94 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .authenticator import (
-    BinomialModel,
-    Decision,
-    binomial_pmf,
-    calibrate_threshold,
-    closed_form_pd,
-    closed_form_pfa,
-    decide,
-    hamming_distance,
-    pmf_vector,
-    total_variation,
-)
-from .channel import (
-    ScenarioConfig,
-    auth_measurement,
-    build_feature_vector,
-    enrollment_measurement,
-    gauss_markov_step,
-    sample_channel,
-    snr_db_to_sigma_z2,
-    sigma_z2_to_snr_db,
-)
-from .polar import (
-    PolarCode,
-    SideInfo,
-    bec_erasure_probs,
-    bec_reliability,
-    construct_code,
-    crc_compute,
-    extract_side_info,
-    polar_transform,
-    scl_decode,
-)
-from .quantizer import QuantizerCodebook, design_codebook, gray_code, quantize
-from .sim import (
-    H0,
-    H1,
-    ExperimentConfig,
-    RocPoint,
-    Simulator,
-    TrialRecord,
-    estimate_roc,
-    eta_distribution,
-    run_trial,
-    sweep,
-)
+from .channel import ScenarioConfig
+from .sim import ExperimentConfig, Simulator, sweep
 
-__all__ = [
-    "__version__",
-    "BinomialModel",
-    "Decision",
-    "ExperimentConfig",
-    "H0",
-    "H1",
-    "PolarCode",
-    "QuantizerCodebook",
-    "RocPoint",
-    "ScenarioConfig",
-    "SideInfo",
-    "Simulator",
-    "TrialRecord",
-    "auth_measurement",
-    "bec_erasure_probs",
-    "bec_reliability",
-    "binomial_pmf",
-    "build_feature_vector",
-    "calibrate_threshold",
-    "closed_form_pd",
-    "closed_form_pfa",
-    "construct_code",
-    "crc_compute",
-    "decide",
-    "design_codebook",
-    "enrollment_measurement",
-    "estimate_roc",
-    "eta_distribution",
-    "extract_side_info",
-    "gauss_markov_step",
-    "gray_code",
-    "hamming_distance",
-    "pmf_vector",
-    "polar_transform",
-    "quantize",
-    "run_trial",
-    "sample_channel",
-    "scl_decode",
-    "sigma_z2_to_snr_db",
-    "snr_db_to_sigma_z2",
-    "sweep",
-    "total_variation",
-]
+__all__ = ["__version__", "ExperimentConfig", "ScenarioConfig", "Simulator", "sweep"]

@@ -70,12 +70,13 @@ def total_variation(etas: np.ndarray, model: BinomialModel) -> float:
 
 
 def _tail_sum(model: BinomialModel, eta_th: int) -> float:
-    # Compensated sum of P(eta > eta_th); small terms first would not matter
-    # much, fsum is exact regardless of order.
+    # P(eta > eta_th).  fsum adds exactly, but the pmf terms it adds are
+    # already rounded, so a tail near 1 can overshoot it by a few ulps.
     if not 0 <= eta_th <= model.k_len:
         raise ValueError(f"eta_th must lie in [0, {model.k_len}]")
-    return math.fsum(
-        binomial_pmf(model, k) for k in range(eta_th + 1, model.k_len + 1)
+    return min(
+        1.0,
+        math.fsum(binomial_pmf(model, k) for k in range(eta_th + 1, model.k_len + 1)),
     )
 
 
@@ -123,15 +124,3 @@ def calibrate_threshold(
     # smallest threshold meeting both is the larger of the two minima.
     exceed = etas.size - np.cumsum(np.bincount(etas, minlength=k_len + 1))
     return max(hi, int(np.argmax(exceed / etas.size <= target_pfa)))
-
-
-@dataclass(frozen=True)
-class Decision:
-    statistic_eta: int
-    threshold_eta_th: int
-    accepted: bool
-
-
-def decide(eta: int, eta_th: int) -> Decision:
-    """Accept the legitimate-user hypothesis iff eta <= eta_th."""
-    return Decision(statistic_eta=eta, threshold_eta_th=eta_th, accepted=eta <= eta_th)

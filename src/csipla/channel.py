@@ -171,11 +171,3 @@ def build_feature_vector(measurements: list[np.ndarray]) -> np.ndarray:
     out[..., 0] = block.real
     out[..., 1] = block.imag
     return out.reshape(-1)
-
-
-def feature_to_measurements(x: np.ndarray, n_b: int) -> list[np.ndarray]:
-    """Inverse of :func:`build_feature_vector` (exact round trip)."""
-    if x.size % (2 * n_b) != 0:
-        raise ValueError("feature length is not a multiple of 2 * n_b")
-    block = x.reshape(-1, n_b, 2)
-    return [row[:, 0] + 1j * row[:, 1] for row in block]

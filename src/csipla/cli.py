@@ -173,14 +173,15 @@ def _cmd_trial(args) -> int:
     cfg = _build_config(args)
     sim = Simulator(cfg)
     rng = trial_rng(cfg.scenario.rng_seed, 99, args.index)
-    record = sim.run_trial(args.hypothesis, rng, seed_label=args.index)
+    eta = sim.run_trial(args.hypothesis, rng)
+    decided_h0 = eta <= sim.eta_th
     meta = sim.metadata()
     rows = [
-        {"field": "hypothesis", "value": record.hypothesis},
-        {"field": "eta", "value": record.eta},
+        {"field": "hypothesis", "value": args.hypothesis},
+        {"field": "eta", "value": eta},
         {"field": "eta_th", "value": sim.eta_th},
-        {"field": "decided_h0", "value": record.decided_h0},
-        {"field": "correct", "value": record.decided_h0 == (record.hypothesis == H0)},
+        {"field": "decided_h0", "value": decided_h0},
+        {"field": "correct", "value": decided_h0 == (args.hypothesis == H0)},
         {"field": "k_info", "value": sim.code.k_info},
         {"field": "channel_p", "value": sim.channel_p},
         {"field": "trial_index", "value": args.index},

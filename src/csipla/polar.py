@@ -9,14 +9,13 @@ Conventions, fixed once and relied on everywhere:
   a binary erasure channel started at z = 0.5: position order follows the
   index binary expansion MSB-first with children 2z - z^2 (worse) and z^2
   (better), which matches the natural-order transform above.
-* The K reconciled payload bits sit on the K most reliable positions, the c
-  CRC check bits claim the next c, and every remaining position is frozen.
-  Enrollment publishes the frozen-position values of u = transform(q), the
-  u-values at the CRC positions, and CRC(payload); the decoder pins both
-  value sets and list-decodes only the K payload positions, using the CRC
-  purely to pick among surviving paths.  Decoding never raises on a CRC
-  miss: returning the best wrong path is what makes impersonation visible
-  to the downstream hypothesis test.
+* The K reconciled payload bits sit on the K most reliable positions and
+  every other position is frozen.  Enrollment publishes the frozen-position
+  values of u = transform(q) and a c-bit CRC of the payload; the decoder
+  pins the frozen values and list-decodes only the K payload positions,
+  using the CRC purely to pick among surviving paths.  Decoding never
+  raises on a CRC miss: returning the best wrong path is what makes
+  impersonation visible to the downstream hypothesis test.
 """
 
 from __future__ import annotations
@@ -56,13 +55,6 @@ def bec_erasure_probs(block_len: int) -> np.ndarray:
 def bec_reliability(block_len: int) -> np.ndarray:
     """Positions sorted most-reliable first (ascending z, ties by index)."""
     return np.argsort(bec_erasure_probs(block_len), kind="stable")
-
-
-def save_reliability_order(order: np.ndarray, path) -> None:
-    """Write a reliability order as text, one position index per line."""
-    with open(path, "w") as fh:
-        for idx in np.asarray(order).ravel():
-            fh.write(f"{int(idx)}\n")
 
 
 def polar_transform(bits: np.ndarray) -> np.ndarray:
@@ -109,10 +101,11 @@ def crc_compute(bits: np.ndarray, poly: np.ndarray) -> np.ndarray:
 class PolarCode:
     """Frozen description of one reconciliation code instance.
 
-    `info_positions` (K), `crc_positions` (c) and `frozen_positions`
-    partition 0..block_len-1; the first two are the K + c most reliable
-    positions.  `decode_steps` and `crc_matrix` are derived artifacts cached
-    here because they depend only on the position sets.
+    `info_positions` holds the K most reliable positions and
+    `frozen_positions` every other one.  `crc_len` sets only the length of
+    the payload CRC; no position is set aside for it.  `decode_steps` and
+    `crc_matrix` are derived artifacts cached here because they depend only
+    on the position sets.
     """
 
     block_len: int
@@ -120,34 +113,22 @@ class PolarCode:
     crc_len: int
     crc_poly: np.ndarray
     list_size: int
-    reliability_order: np.ndarray
     info_positions: np.ndarray
-    crc_positions: np.ndarray
     frozen_positions: np.ndarray
     decode_steps: tuple = field(repr=False)
     crc_matrix: np.ndarray = field(repr=False)
-
-    @property
-    def info_set(self) -> np.ndarray:
-        """All K + c non-frozen positions (payload followed by CRC)."""
-        return np.concatenate([self.info_positions, self.crc_positions])
-
-    @property
-    def frozen_set(self) -> np.ndarray:
-        return self.frozen_positions
 
 
 @dataclass(frozen=True, eq=False)
 class SideInfo:
     """Public helper data produced at enrollment for one bit vector.
 
-    frozen_values and crc_position_values are the enrollment u-values at the
-    frozen and CRC positions; the decoder pins both alike.  crc_bits is the
-    CRC of the enrollment payload and only arbitrates between list paths.
+    frozen_values are the enrollment u-values at every non-payload position;
+    the decoder pins them.  crc_bits is the CRC of the enrollment payload and
+    only arbitrates between list paths.
     """
 
     frozen_values: np.ndarray
-    crc_position_values: np.ndarray
     crc_bits: np.ndarray
 
 
@@ -180,13 +161,11 @@ def construct_code(
     rate: float,
     crc_len: int | None = None,
     list_size: int = 8,
-    crc_poly: np.ndarray | None = None,
 ) -> PolarCode:
     """Build the code for a payload rate.
 
     K = round(rate * block_len) payload bits.  The CRC length defaults to 4
-    (poly x^4+x+1) when K < 20 and 8 (poly x^8+x^2+x+1) otherwise; passing
-    `crc_poly` overrides the polynomial and fixes crc_len to its degree.
+    (poly x^4+x+1) when K < 20 and 8 (poly x^8+x^2+x+1) otherwise.
     """
     _check_block_len(block_len)
     if not 0.0 < rate < 1.0:
@@ -196,25 +175,20 @@ def construct_code(
     k_info = int(round(rate * block_len))
     if k_info < 1:
         raise ValueError(f"rate {rate} rounds to zero payload bits")
-    if crc_poly is not None:
-        crc_poly = np.asarray(crc_poly, dtype=np.uint8)
-        crc_len = crc_poly.size - 1
+    if crc_len is None:
+        crc_len = 4 if k_info < 20 else 8
+    if crc_len == 4:
+        crc_poly = CRC4_POLY
+    elif crc_len == 8:
+        crc_poly = CRC8_POLY
     else:
-        if crc_len is None:
-            crc_len = 4 if k_info < 20 else 8
-        if crc_len == 4:
-            crc_poly = CRC4_POLY
-        elif crc_len == 8:
-            crc_poly = CRC8_POLY
-        else:
-            raise ValueError("crc_len without crc_poly must be 4 or 8")
+        raise ValueError("crc_len must be 4 or 8")
     if k_info + crc_len > block_len:
         raise ValueError("payload plus CRC exceeds the block length")
 
     order = bec_reliability(block_len)
     info = np.sort(order[:k_info])
-    crc_pos = np.sort(order[k_info : k_info + crc_len])
-    frozen = np.sort(order[k_info + crc_len :])
+    frozen = np.sort(order[k_info:])
 
     free_mask = np.zeros(block_len, dtype=bool)
     free_mask[info] = True
@@ -231,9 +205,7 @@ def construct_code(
         crc_len=crc_len,
         crc_poly=crc_poly,
         list_size=list_size,
-        reliability_order=order,
         info_positions=info,
-        crc_positions=crc_pos,
         frozen_positions=frozen,
         decode_steps=steps,
         crc_matrix=crc_matrix,
@@ -253,7 +225,6 @@ def extract_side_info(q_enroll: np.ndarray, code: PolarCode):
     r = u[code.info_positions].copy()
     side = SideInfo(
         frozen_values=u[code.frozen_positions].copy(),
-        crc_position_values=u[code.crc_positions].copy(),
         crc_bits=crc_compute(r, code.crc_poly),
     )
     return r, side
@@ -279,19 +250,15 @@ def scl_decode(
     best CRC-consistent path, falling back to the overall best path when no
     path checks out (a wrong answer is itself the authentication signal).
     """
-    return _scl_decode(q_auth, side, code, channel_p)[0]
-
-
-def scl_decode_detail(q_auth, side, code, channel_p):
-    """Like :func:`scl_decode` but also returns a :class:`DecodeDetail`."""
-    return _scl_decode(q_auth, side, code, channel_p)
+    return scl_decode_detail(q_auth, side, code, channel_p)[0]
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
-def _scl_decode(q_auth, side, code, channel_p):
+def scl_decode_detail(q_auth, side, code, channel_p):
+    """Like :func:`scl_decode` but also returns a :class:`DecodeDetail`."""
     if not 0.0 < channel_p < 0.5:
         raise ValueError(f"channel_p must lie strictly inside (0, 0.5), got {channel_p}")
     q = np.asarray(q_auth, dtype=np.uint8)
@@ -307,7 +274,6 @@ def _scl_decode(q_auth, side, code, channel_p):
 
     pinned_vals = np.zeros(block_len, dtype=np.uint8)
     pinned_vals[code.frozen_positions] = side.frozen_values
-    pinned_vals[code.crc_positions] = side.crc_position_values
 
     # Pinned subtrees contribute path metric against their known codeword
     # chunk transform(u_chunk); precompute chunks and their sign patterns.

@@ -87,21 +87,18 @@ def design_codebook(
     mu: float = 0.0,
     sigma: float = 1.0,
     max_iters: int = 200,
-    tol: float | None = None,
 ) -> QuantizerCodebook:
     """Design a Lloyd-Max codebook for a Gaussian component density.
 
     Initial levels are the midpoints of 2**n_bits equal subintervals of
     [mu - 3 sigma, mu + 3 sigma].  Each iteration moves boundaries to level
     midpoints and levels to the analytic centroid of their cell.  Iteration
-    stops when no level moves by more than `tol` (default 1e-6 * sigma);
-    hitting `max_iters` first only raises a warning, since a slightly
-    unconverged codebook is still a valid quantizer.
+    stops when no level moves by more than 1e-6 * sigma; hitting `max_iters`
+    first only raises a warning, since a slightly unconverged codebook is
+    still a valid quantizer.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    if tol is None:
-        tol = 1e-6 * sigma
     n_levels = 1 << n_bits
     edges = np.linspace(mu - 3.0 * sigma, mu + 3.0 * sigma, n_levels + 1)
     levels = 0.5 * (edges[:-1] + edges[1:])
@@ -119,7 +116,7 @@ def design_codebook(
         )
         delta = float(np.max(np.abs(new_levels - levels)))
         levels = new_levels
-        if delta < tol:
+        if delta < 1e-6 * sigma:
             converged = True
             break
     if not converged:
@@ -160,11 +157,6 @@ def quantize(x: np.ndarray, codebook: QuantizerCodebook) -> np.ndarray:
     return codebook.label_bits[idx].reshape(-1)
 
 
-def reconstruct(bits_or_indices: np.ndarray, codebook: QuantizerCodebook) -> np.ndarray:
-    """Reconstruction levels for an index array (used by tests and tooling)."""
-    return codebook.levels[np.asarray(bits_or_indices, dtype=int)]
-
-
 def dump_codebook(codebook: QuantizerCodebook) -> str:
     """Plain-text table: one `level lower_boundary gray_label` row per level."""
     buf = io.StringIO()
@@ -176,35 +168,3 @@ def dump_codebook(codebook: QuantizerCodebook) -> str:
     for level, lower, label in zip(codebook.levels.tolist(), lowers, codebook.gray_labels):
         buf.write(f"{level!r} {lower!r} {label}\n")
     return buf.getvalue()
-
-
-def load_codebook(text: str) -> QuantizerCodebook:
-    """Parse the table produced by :func:`dump_codebook`."""
-    header = None
-    levels, lowers, labels = [], [], []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if header is None and "n_bits=" in line:
-                header = dict(
-                    kv.split("=", 1) for kv in line.lstrip("# ").split() if "=" in kv
-                )
-            continue
-        lev, low, lab = line.split()
-        levels.append(float(lev))
-        lowers.append(float(low))
-        labels.append(lab)
-    if header is None:
-        raise ValueError("missing codebook header line")
-    n_bits = int(header["n_bits"])
-    return QuantizerCodebook(
-        n_bits=n_bits,
-        mu=float(header["mu"]),
-        sigma=float(header["sigma"]),
-        levels=np.array(levels),
-        boundaries=np.array(lowers[1:]),
-        gray_labels=tuple(labels),
-        label_bits=_gray_matrix(n_bits),
-    )

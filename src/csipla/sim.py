@@ -87,31 +87,6 @@ class ExperimentConfig:
         return self.quant_bits * self.scenario.n_features
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    hypothesis: str
-    eta: int
-    decided_h0: bool
-    seed: int
-
-
-@dataclass(frozen=True)
-class RocPoint:
-    """One operating point: empirical rates plus the binomial-model rates."""
-
-    pfa: float
-    pd: float
-    eta_th: int
-    pfa_model: float = 0.0
-    pd_model: float = 0.0
-
-    def __post_init__(self):
-        for name in ("pfa", "pd", "pfa_model", "pd_model"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-
-
 def trial_rng(master_seed: int, stream: int, index: int) -> np.random.Generator:
     """Independent generator for (stream, index) under one master seed."""
     return np.random.default_rng(
@@ -195,13 +170,18 @@ class Simulator:
             auth_measurement(h_u, ints_next, sc.alpha, sc.sigma_z2, rng)
         )
 
-    def _trial_bits(self, hypothesis, rng):
-        """One end-to-end trial; returns (r_enroll, r_decoded, q_flip_rate)."""
+    def _trial(self, hypothesis, rng) -> int:
+        """One end-to-end trial; returns its disagreement statistic eta."""
         world, q_a = self._enroll(rng)
         r_a, side = extract_side_info(q_a, self.code)
         q_u = self._auth_vector(world, hypothesis, rng)
         r_u = scl_decode(q_u, side, self.code, self._channel_p())
-        return r_a, r_u, float(np.mean(q_a != q_u))
+        return hamming_distance(r_a, r_u)
+
+    def _trials(self, hypothesis, stream, n_trials) -> np.ndarray:
+        """Statistics of trials 0..n_trials-1 of one seeded stream."""
+        rngs = (trial_rng(self.cfg.scenario.rng_seed, stream, i) for i in range(n_trials))
+        return np.array([self._trial(hypothesis, rng) for rng in rngs], dtype=int)
 
     # -- calibration -----------------------------------------------------
 
@@ -232,12 +212,7 @@ class Simulator:
         k = self.code.k_info
         n_cal = cfg.calibration_trials
         for hyp, stream in ((H0, _CAL_H0), (H1, _CAL_H1)):
-            etas = np.empty(n_cal, dtype=int)
-            for i in range(n_cal):
-                rng = trial_rng(cfg.scenario.rng_seed, stream, i)
-                r_a, r_u, _ = self._trial_bits(hyp, rng)
-                etas[i] = hamming_distance(r_a, r_u)
-            self._cal_etas[hyp] = etas
+            self._cal_etas[hyp] = self._trials(hyp, stream, n_cal)
         # Mean per-bit disagreement, pooling all payload bits of the batch.
         # An all-zero H0 batch only bounds p0, so floor it at one error in
         # the whole batch rather than claiming an exact zero.
@@ -250,28 +225,16 @@ class Simulator:
 
     # -- experiment surfaces ----------------------------------------------
 
-    def run_trial(self, hypothesis: str, rng, seed_label: int = -1) -> TrialRecord:
+    def run_trial(self, hypothesis: str, rng) -> int:
+        """Disagreement statistic of one trial drawn from `rng`."""
         self.calibrate()
-        r_a, r_u, _ = self._trial_bits(hypothesis, rng)
-        eta = hamming_distance(r_a, r_u)
-        return TrialRecord(
-            hypothesis=hypothesis,
-            eta=eta,
-            decided_h0=eta <= self.eta_th,
-            seed=seed_label,
-        )
+        return self._trial(hypothesis, rng)
 
-    def run_batch(self, hypothesis: str, n_trials: int, stream: int | None = None) -> np.ndarray:
-        """Disagreement statistics for n_trials independent trials."""
+    def run_batch(self, hypothesis: str, n_trials: int) -> np.ndarray:
+        """Disagreement statistics for n_trials independent evaluation trials."""
         self.calibrate()
-        if stream is None:
-            stream = _EVAL_H0 if hypothesis == H0 else _EVAL_H1
-        etas = np.empty(n_trials, dtype=int)
-        for i in range(n_trials):
-            rng = trial_rng(self.cfg.scenario.rng_seed, stream, i)
-            r_a, r_u, _ = self._trial_bits(hypothesis, rng)
-            etas[i] = hamming_distance(r_a, r_u)
-        return etas
+        stream = _EVAL_H0 if hypothesis == H0 else _EVAL_H1
+        return self._trials(hypothesis, stream, n_trials)
 
     def roc_table(self, trials: int | None = None):
         """Empirical and closed-form ROC, one row per threshold value."""
@@ -363,33 +326,6 @@ class Simulator:
         return meta
 
 
-def run_trial(cfg: ExperimentConfig, hypothesis: str, rng) -> TrialRecord:
-    """One-shot convenience wrapper (calibrates on first use)."""
-    return Simulator(cfg).run_trial(hypothesis, rng)
-
-
-def estimate_roc(cfg: ExperimentConfig, trials: int | None = None):
-    """ROC as a list of RocPoint (threshold ascending 0..K) plus metadata."""
-    sim = Simulator(cfg)
-    points = [
-        RocPoint(
-            pfa=row["pfa_emp"],
-            pd=row["pd_emp"],
-            eta_th=row["eta_th"],
-            pfa_model=row["pfa_model"],
-            pd_model=row["pd_model"],
-        )
-        for row in sim.roc_table(trials)
-    ]
-    return points, sim.metadata()
-
-
-def eta_distribution(cfg: ExperimentConfig, trials: int | None = None):
-    sim = Simulator(cfg)
-    rows = sim.pdf_table(trials)
-    return rows, sim.metadata()
-
-
 def _apply_sweep_value(cfg: ExperimentConfig, parameter: str, value) -> ExperimentConfig:
     sc = cfg.scenario
     if parameter == "snr_db":
@@ -402,6 +338,8 @@ def _apply_sweep_value(cfg: ExperimentConfig, parameter: str, value) -> Experime
     if parameter == "code_rate":
         return dataclasses.replace(cfg, code_rate=value)
     if parameter == "quant_bits":
+        if int(value) != value:
+            raise ValueError(f"quant_bits sweep values must be integers, got {value}")
         return dataclasses.replace(cfg, quant_bits=int(value))
     raise ValueError(
         f"unknown sweep parameter {parameter!r}; valid: {', '.join(SWEEP_PARAMETERS)}"
@@ -410,9 +348,11 @@ def _apply_sweep_value(cfg: ExperimentConfig, parameter: str, value) -> Experime
 
 def sweep(cfg: ExperimentConfig, parameter: str, values):
     """Recalibrate per value and report operating points at the target PFA."""
+    # Every value is checked before the first one is simulated.
+    cfgs = [_apply_sweep_value(cfg, parameter, value) for value in values]
     rows = []
-    for value in values:
-        sub = Simulator(_apply_sweep_value(cfg, parameter, value))
+    for value, sub_cfg in zip(values, cfgs):
+        sub = Simulator(sub_cfg)
         sub.calibrate()
         row = {"parameter": parameter, "value": value}
         row.update(sub.summary())

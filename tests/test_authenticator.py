@@ -11,7 +11,6 @@ from csipla.authenticator import (
     calibrate_threshold,
     closed_form_pd,
     closed_form_pfa,
-    decide,
     hamming_distance,
     pmf_vector,
     total_variation,
@@ -133,6 +132,12 @@ def test_tail_with_zero_rate_is_zero():
     assert closed_form_pfa(10, 0.0, 0) == 0.0
 
 
+def test_tail_never_exceeds_one():
+    # The pmf terms are rounded before they are summed, so near p = 1/2 an
+    # unclipped tail overshoots 1 at hundreds of thresholds of K = 819.
+    assert all(closed_form_pd(819, 0.50130, t) <= 1.0 for t in range(820))
+
+
 def test_detection_hand_value():
     # P(eta > 0) = 1 - (1 - p)^10 with p = 0.4539
     want = 1.0 - (1.0 - 0.4539) ** 10
@@ -229,19 +234,3 @@ def test_total_variation_validates_input():
         total_variation(np.array([5]), m)
     with pytest.raises(ValueError):
         total_variation(np.array([-1]), m)
-
-
-# -- decision rule -------------------------------------------------------------------
-
-
-def test_decide_boundary_is_accepting():
-    assert decide(3, 3).accepted
-    assert decide(2, 3).accepted
-    assert not decide(4, 3).accepted
-
-
-def test_decision_record_fields():
-    d = decide(7, 5)
-    assert d.statistic_eta == 7
-    assert d.threshold_eta_th == 5
-    assert d.accepted is False

@@ -1,5 +1,6 @@
 """Command-line interface: config plumbing, CSV output, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -157,12 +158,46 @@ def test_sweep_rejects_unknown_parameter(capsys):
     assert err.value.code == 2
 
 
+def test_sweep_rejects_fractional_quant_bits(tiny_ini, capsys):
+    code, out, err = run_cli(
+        ["sweep", "--config", tiny_ini, "--param", "quant_bits", "--values", "1.5"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and "integer" in err
+
+
 def test_sweep_rejects_malformed_values(tiny_ini, capsys):
     code, _, err = run_cli(
         ["sweep", "--config", tiny_ini, "--param", "beta", "--values", "a,b"], capsys
     )
     assert code == 2
     assert "config error" in err
+
+
+# -- output bytes -----------------------------------------------------------------
+
+
+# sha256 of stdout on TINY_INI.  The meta line embeds the package version
+# (csipla-0.1.0), so a version bump changes these hashes; any other change
+# to them is a change to the numbers and must be explained.
+GOLDEN_SHA256 = {
+    "roc": "9bc3640115129a34e84e5b86542553923e5d0ff54eaa06d029b0f9730e127867",
+    "pdf": "7f3372b3c50c345ed41812e1db3eedc2fd2f2a53f4073c14471e13a6a05dc552",
+    "sweep": "ac0880d1124d7cc86e503651255c482b14e8e889a11ce9df7b586957a161de7c",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["roc"], ["pdf"], ["sweep", "--param", "snr_db", "--values", "0,10"]],
+    ids=lambda argv: argv[0],
+)
+def test_output_bytes_are_pinned(argv, tiny_ini, capsys):
+    code, out, _ = run_cli(argv + ["--config", tiny_ini], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[argv[0]]
 
 
 # -- config handling ----------------------------------------------------------------

@@ -19,7 +19,6 @@ from csipla.polar import (
     crc_compute,
     extract_side_info,
     polar_transform,
-    save_reliability_order,
     scl_decode,
     scl_decode_detail,
 )
@@ -108,14 +107,6 @@ def test_reliability_extremes_without_saturation():
         order = bec_reliability(n)
         assert order[0] == n - 1
         assert order[-1] == 0
-
-
-def test_save_reliability_order(tmp_path):
-    order = bec_reliability(16)
-    path = tmp_path / "order.txt"
-    save_reliability_order(order, path)
-    got = [int(line) for line in path.read_text().splitlines()]
-    assert got == order.tolist()
 
 
 # -- polar transform --------------------------------------------------------
@@ -236,30 +227,29 @@ def test_construct_code_k_is_rounded():
 
 
 def test_construct_code_positions_partition_block():
-    code = construct_code(1024, 0.01)
-    merged = np.concatenate(
-        [code.info_positions, code.crc_positions, code.frozen_positions]
-    )
-    assert np.array_equal(np.sort(merged), np.arange(1024))
-    for arr in (code.info_positions, code.crc_positions, code.frozen_positions):
-        assert np.all(np.diff(arr) > 0)
+    # The CRC takes no positions: exactly the K payload positions are
+    # list-decoded and every other position is frozen.
+    for block_len, rate, crc_len in ((1024, 0.0186, 4), (1024, 0.02, 8), (2048, 0.4, 8)):
+        code = construct_code(block_len, rate)
+        assert code.crc_len == crc_len
+        assert code.info_positions.size == code.k_info
+        merged = np.concatenate([code.info_positions, code.frozen_positions])
+        assert np.array_equal(np.sort(merged), np.arange(block_len))
+        for arr in (code.info_positions, code.frozen_positions):
+            assert np.all(np.diff(arr) > 0)
+        free = [lo for kind, lo, _, _ in code.decode_steps if kind == "free"]
+        assert np.array_equal(free, code.info_positions)
+        pinned = np.concatenate(
+            [np.arange(lo, lo + size) for kind, lo, _, size in code.decode_steps if kind == "seg"]
+        )
+        assert np.array_equal(np.sort(pinned), code.frozen_positions)
 
 
 def test_construct_code_uses_most_reliable_positions():
     code = construct_code(1024, 0.01)
-    want = set(bec_reliability(1024)[: code.k_info + code.crc_len].tolist())
-    assert set(code.info_set.tolist()) == want
-    assert set(code.frozen_set.tolist()) == set(range(1024)) - want
-    # payload gets the more reliable slots before the CRC does
-    order = bec_reliability(1024)
-    assert set(code.info_positions.tolist()) == set(order[: code.k_info].tolist())
-
-
-def test_construct_code_explicit_crc_poly():
-    poly = np.array([1, 0, 0, 0, 0, 1, 1])  # degree 6
-    code = construct_code(256, 0.1, crc_len=6, crc_poly=poly)
-    assert code.crc_len == 6
-    assert np.array_equal(code.crc_poly, poly)
+    want = set(bec_reliability(1024)[: code.k_info].tolist())
+    assert set(code.info_positions.tolist()) == want
+    assert set(code.frozen_positions.tolist()) == set(range(1024)) - want
 
 
 @pytest.mark.parametrize(
@@ -286,7 +276,6 @@ def test_side_info_of_zero_vector_is_zero():
     r, side = extract_side_info(np.zeros(64, dtype=np.uint8), code)
     assert not r.any()
     assert not side.frozen_values.any()
-    assert not side.crc_position_values.any()
     assert not side.crc_bits.any()
 
 
@@ -297,8 +286,8 @@ def test_side_info_structure():
     r, side = extract_side_info(q, code)
     u = polar_transform(q)
     assert np.array_equal(r, u[code.info_positions])
+    assert side.frozen_values.size == 256 - code.k_info
     assert np.array_equal(side.frozen_values, u[code.frozen_positions])
-    assert np.array_equal(side.crc_position_values, u[code.crc_positions])
     assert np.array_equal(side.crc_bits, crc_remainder(u[code.info_positions], code.crc_poly))
 
 
@@ -355,7 +344,6 @@ def test_decode_matches_recursive_reference():
             chan_llr = (1 - 2 * q_auth.astype(float)) * mag
             pinned[:] = -1
             pinned[code.frozen_positions] = side.frozen_values
-            pinned[code.crc_positions] = side.crc_position_values
             want = sc_reference(chan_llr, pinned, block_len)[code.info_positions]
 
             got = scl_decode(q_auth, side, code, channel_p)
