@@ -69,25 +69,33 @@ def total_variation(etas: np.ndarray, model: BinomialModel) -> float:
     return 0.5 * float(np.abs(empirical - pmf_vector(model)).sum())
 
 
-def _tail_sum(model: BinomialModel, eta_th: int) -> float:
-    # P(eta > eta_th).  fsum adds exactly, but the pmf terms it adds are
-    # already rounded, so a tail near 1 can overshoot it by a few ulps.
+def tail_vector(model: BinomialModel) -> np.ndarray:
+    """P(eta > t) for t = 0..k_len, in one pass over the pmf.
+
+    The reverse cumulative sum adds the pmf from k_len down, smallest terms
+    first for p <= 1/2, and is non-increasing in t by construction.  The
+    terms are rounded, so a tail near 1 can overshoot it by a few ulps; the
+    vector is clipped to [0, 1].
+    """
+    tails = np.zeros(model.k_len + 1)
+    tails[:-1] = np.cumsum(pmf_vector(model)[:0:-1])[::-1]
+    return np.clip(tails, 0.0, 1.0)
+
+
+def _tail_at(model: BinomialModel, eta_th: int) -> float:
     if not 0 <= eta_th <= model.k_len:
         raise ValueError(f"eta_th must lie in [0, {model.k_len}]")
-    return min(
-        1.0,
-        math.fsum(binomial_pmf(model, k) for k in range(eta_th + 1, model.k_len + 1)),
-    )
+    return float(tail_vector(model)[eta_th])
 
 
 def closed_form_pfa(k_len: int, p0: float, eta_th: int) -> float:
     """False-alarm probability: tail of Binomial(k_len, p0) above eta_th."""
-    return _tail_sum(BinomialModel(k_len, p0), eta_th)
+    return _tail_at(BinomialModel(k_len, p0), eta_th)
 
 
 def closed_form_pd(k_len: int, p1: float, eta_th: int) -> float:
     """Detection probability: tail of Binomial(k_len, p1) above eta_th."""
-    return _tail_sum(BinomialModel(k_len, p1), eta_th)
+    return _tail_at(BinomialModel(k_len, p1), eta_th)
 
 
 def calibrate_threshold(
@@ -96,7 +104,8 @@ def calibrate_threshold(
     """Smallest eta_th whose false-alarm probability meets the target.
 
     The tail is non-increasing in eta_th and reaches 0 at eta_th = k_len,
-    so a solution always exists; binary search keeps large k_len cheap.
+    so a solution always exists: the first index of the tail vector that
+    meets the target.
     Given `h0_etas`, a batch of legitimate statistics, the threshold must
     also hold that batch's false-alarm rate mean(h0_etas > eta_th) to the
     target: failed decodes make the H0 statistic heavier-tailed than
@@ -105,22 +114,14 @@ def calibrate_threshold(
     """
     if target_pfa <= 0:
         raise ValueError("target_pfa must be positive")
-    model = BinomialModel(k_len, p0)
-    lo, hi = 0, k_len
-    if _tail_sum(model, lo) <= target_pfa:
-        hi = lo
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _tail_sum(model, mid) <= target_pfa:
-            hi = mid
-        else:
-            lo = mid
+    tails = tail_vector(BinomialModel(k_len, p0))
+    th = int(np.argmax(tails <= target_pfa))
     if h0_etas is None:
-        return hi
+        return th
     etas = np.asarray(h0_etas, dtype=int)
     if etas.size == 0 or etas.min() < 0 or etas.max() > k_len:
         raise ValueError(f"h0_etas must be a non-empty batch in [0, {k_len}]")
     # exceed[t] = #{eta > t}; both conditions are monotone in t, so the
     # smallest threshold meeting both is the larger of the two minima.
     exceed = etas.size - np.cumsum(np.bincount(etas, minlength=k_len + 1))
-    return max(hi, int(np.argmax(exceed / etas.size <= target_pfa)))
+    return max(th, int(np.argmax(exceed / etas.size <= target_pfa)))

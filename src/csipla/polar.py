@@ -195,9 +195,18 @@ def construct_code(
     n = block_len.bit_length() - 1
     steps = _build_decode_steps(free_mask, n)
 
-    # CRC is linear (zero init, no final XOR): row i is CRC of unit message i.
-    eye = np.eye(k_info, dtype=np.uint8)
-    crc_matrix = np.array([crc_compute(row, crc_poly) for row in eye], dtype=np.uint8)
+    # CRC is linear (zero init, no final XOR): row i is the CRC of unit
+    # message i, x^(K-1-i+c) mod g.  The last row is x^c mod g and each row
+    # above is the one below times x mod g: one shift-register pass.
+    gen = int("".join(str(v) for v in crc_poly), 2)
+    reg = gen ^ (1 << crc_len)
+    regs = np.empty(k_info, dtype=np.int64)
+    for i in range(k_info - 1, -1, -1):
+        regs[i] = reg
+        reg <<= 1
+        if reg >> crc_len:
+            reg ^= gen
+    crc_matrix = ((regs[:, None] >> np.arange(crc_len - 1, -1, -1)) & 1).astype(np.uint8)
 
     return PolarCode(
         block_len=block_len,
@@ -286,11 +295,20 @@ def scl_decode_detail(q_auth, side, code, channel_p):
             seg_sign[lo] = 1.0 - 2.0 * x.astype(float)
 
     # Per-path state, rows 0..nact-1 active.  Depth-d LLR/partial-sum levels
-    # hold only the segment currently being traversed, so one fork copies
-    # O(block_len) state per path instead of O(block_len log block_len).
-    llr = [None] + [np.zeros((cap, 1 << (n - d))) for d in range(1, n + 1)]
-    sums = [None] + [np.zeros((cap, 2, 1 << (n - d)), dtype=np.uint8) for d in range(1, n + 1)]
-    u_info = np.zeros((cap, k_info), dtype=np.uint8)
+    # hold only the segment currently being traversed, so one path's state
+    # is O(block_len).  All of it lives in two buffers, one row per path:
+    # LLR levels 1..n in `fstate`, partial-sum levels 1..n and the payload in
+    # `ustate`; the per-level arrays are views, so a fork copies two buffers.
+    fstate = np.zeros((cap, block_len - 1))
+    ustate = np.zeros((cap, 2 * (block_len - 1) + k_info), dtype=np.uint8)
+    llr, sums = [None], [None]
+    off = 0
+    for d in range(1, n + 1):
+        width = 1 << (n - d)
+        llr.append(fstate[:, off : off + width])
+        sums.append(ustate[:, 2 * off : 2 * (off + width)].reshape(cap, 2, width))
+        off += width
+    u_info = ustate[:, 2 * off :]
     pm = np.zeros(cap)
     nact = 1
 
@@ -345,10 +363,8 @@ def scl_decode_detail(q_auth, side, code, channel_p):
             parents = keep % nact
             chosen = (keep >= nact).astype(np.uint8)
             k = keep.size
-            for d in range(1, n + 1):
-                llr[d][:k] = llr[d].take(parents, axis=0)
-                sums[d][:k] = sums[d].take(parents, axis=0)
-            u_info[:k] = u_info.take(parents, axis=0)
+            fstate[:k] = fstate.take(parents, axis=0)
+            ustate[:k] = ustate.take(parents, axis=0)
             pm[:k] = cand[keep]
             u_info[:k, info_slot[lo]] = chosen
             nact = k

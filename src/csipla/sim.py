@@ -28,6 +28,7 @@ from .authenticator import (
     closed_form_pfa,
     hamming_distance,
     pmf_vector,
+    tail_vector,
 )
 from .channel import (
     ScenarioConfig,
@@ -243,18 +244,18 @@ class Simulator:
         etas0 = self.run_batch(H0, n)
         etas1 = self.run_batch(H1, n)
         k = self.code.k_info
-        rows = []
-        for t in range(k + 1):
-            rows.append(
-                {
-                    "eta_th": t,
-                    "pfa_emp": float(np.mean(etas0 > t)),
-                    "pd_emp": float(np.mean(etas1 > t)),
-                    "pfa_model": closed_form_pfa(k, self.p0, t),
-                    "pd_model": closed_form_pd(k, self.p1, t),
-                }
-            )
-        return rows
+        pfa_model = tail_vector(BinomialModel(k, self.p0)).tolist()
+        pd_model = tail_vector(BinomialModel(k, self.p1)).tolist()
+        return [
+            {
+                "eta_th": t,
+                "pfa_emp": float(np.mean(etas0 > t)),
+                "pd_emp": float(np.mean(etas1 > t)),
+                "pfa_model": pfa_model[t],
+                "pd_model": pd_model[t],
+            }
+            for t in range(k + 1)
+        ]
 
     def pdf_table(self, trials: int | None = None):
         """Histogram of eta under both hypotheses next to the binomial fit."""

@@ -13,12 +13,28 @@ from csipla.authenticator import (
     closed_form_pfa,
     hamming_distance,
     pmf_vector,
+    tail_vector,
     total_variation,
 )
 
 
 def direct_pmf(n, p, k):
     return math.comb(n, k) * p**k * (1 - p) ** (n - k)
+
+
+def exact_tails(n, p):
+    """P(eta > t), t = 0..n, in rational arithmetic on the float's value.
+
+    With p = a / b, every term is an integer over b^n, so the tails are
+    integer suffix sums, each rounded once to a float.
+    """
+    a, b = p.as_integer_ratio()
+    terms = [math.comb(n, k) * a**k * (b - a) ** (n - k) for k in range(n + 1)]
+    tails, acc, den = [0.0] * (n + 1), 0, b**n
+    for t in range(n - 1, -1, -1):
+        acc += terms[t + 1]
+        tails[t] = acc / den
+    return tails
 
 
 # -- Hamming statistic ------------------------------------------------------
@@ -135,7 +151,31 @@ def test_tail_with_zero_rate_is_zero():
 def test_tail_never_exceeds_one():
     # The pmf terms are rounded before they are summed, so near p = 1/2 an
     # unclipped tail overshoots 1 at hundreds of thresholds of K = 819.
+    tails = tail_vector(BinomialModel(819, 0.50130))
+    assert np.all(tails <= 1.0) and tails[-1] == 0.0
+    assert np.all(np.diff(tails) <= 0.0)
     assert all(closed_form_pd(819, 0.50130, t) <= 1.0 for t in range(820))
+    for t in (0, 300, 409, 819):
+        assert closed_form_pd(819, 0.50130, t) == tails[t]
+
+
+@pytest.mark.parametrize("p", [0.0, 0.001, 0.1, 0.3, 0.5, 0.77, 0.99, 1.0])
+def test_tail_vector_matches_exact_tails(p):
+    for k_len in range(1, 41):
+        got = tail_vector(BinomialModel(k_len, p))
+        want = exact_tails(k_len, p)
+        assert got.shape == (k_len + 1,)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * w
+
+
+@pytest.mark.parametrize("p", [0.05, 0.49107, 0.50130])
+def test_tail_vector_matches_exact_tails_at_high_rate(p):
+    # K = 819 is the payload length at code rate 0.4, where the sum has the
+    # most terms; the tolerance is perfbench's check of the ROC table.
+    got = tail_vector(BinomialModel(819, p))
+    for g, w in zip(got, exact_tails(819, p)):
+        assert abs(g - w) <= 1e-9 * w + 1e-300
 
 
 def test_detection_hand_value():
@@ -157,15 +197,19 @@ def test_calibrated_threshold_hand_case():
 
 def test_calibrated_threshold_is_minimal():
     # brute force the defining property over a parameter grid
-    targets = (1e-1, 1e-2, 1e-3, 1e-4)
-    for k_len in range(1, 21):
-        for p0 in (0.01, 0.05, 0.1, 0.2, 0.3, 0.45):
-            for target in targets:
-                got = calibrate_threshold(k_len, p0, target)
-                want = min(
-                    t for t in range(k_len + 1) if closed_form_pfa(k_len, p0, t) <= target
-                )
-                assert got == want
+    grid = [
+        (k_len, p0, target)
+        for k_len in range(1, 21)
+        for p0 in (0.01, 0.05, 0.1, 0.2, 0.3, 0.45)
+        for target in (1e-1, 1e-2, 1e-3, 1e-4)
+    ]
+    grid += [(819, p0, target) for p0 in (0.05, 0.49107) for target in (1e-2, 1e-4)]
+    for k_len, p0, target in grid:
+        got = calibrate_threshold(k_len, p0, target)
+        want = next(
+            t for t in range(k_len + 1) if closed_form_pfa(k_len, p0, t) <= target
+        )
+        assert got == want
 
 
 def test_calibrated_threshold_monotone_in_target():

@@ -1,18 +1,22 @@
 """Code construction, the GF(2) transform, CRC, and list decoding.
 
-The decoder checks lean on two independent in-test oracles: a long-division
-CRC and a plain recursive successive-cancellation decoder with the same
-min-sum conventions as the production path machinery.
+The decoder checks lean on independent in-test oracles: a long-division
+CRC, a plain recursive successive-cancellation decoder, and a recursive
+CRC-aided list decoder, both with the same min-sum conventions as the
+production path machinery.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csipla.polar import (
     CRC4_POLY,
     CRC8_POLY,
+    DecodeDetail,
     bec_erasure_probs,
     bec_reliability,
     construct_code,
@@ -59,6 +63,68 @@ def sc_reference(chan_llr, pinned, block_len):
 
     rec(np.asarray(chan_llr, dtype=float), 0)
     return decided
+
+
+def encode_reference(u):
+    """Codeword of u under the natural-order kernel, by its recursion."""
+    if u.size == 1:
+        return u.copy()
+    left, right = encode_reference(u[: u.size // 2]), encode_reference(u[u.size // 2 :])
+    return np.concatenate([left ^ right, right])
+
+
+def scl_reference(chan_llr, pinned, crc_poly, crc_want, list_size):
+    """Recursive CRC-aided successive-cancellation list decoder.
+
+    Paths are the rows of every array.  A subtree with no free position
+    (pinned >= 0 throughout) charges each path its whole-codeword penalty
+    sum softplus(-(1 - 2x) llr) at its root; otherwise it splits into the
+    min-sum check update and the b -/+ a variable update.  At a free leaf
+    the candidates are every path with bit 0, then every path with bit 1,
+    and the `list_size` lowest metrics survive a stable sort.  Returns the
+    payload of the best path whose CRC matches `crc_want` (else of the best
+    path) and the (selected passed, paths passing, paths alive) triple.
+    """
+    free = np.flatnonzero(np.asarray(pinned) < 0)
+    column = {int(pos): j for j, pos in enumerate(free)}
+    metric = np.zeros(1)
+    payload = np.zeros((1, free.size), dtype=np.uint8)
+
+    def penalty(llr, sign):
+        return np.logaddexp(0.0, -sign * llr)
+
+    def rec(llr, lo):
+        # Returns, for the paths alive afterwards, the row of `llr` each
+        # descends from and the codeword bits of this subtree.
+        nonlocal metric, payload
+        rows, size = llr.shape
+        if np.all(pinned[lo : lo + size] >= 0):
+            x = encode_reference(pinned[lo : lo + size].astype(np.uint8))
+            metric = metric + penalty(llr, 1.0 - 2.0 * x).sum(axis=1)
+            return np.arange(rows), np.tile(x, (rows, 1))
+        if size == 1:
+            lam = llr[:, 0]
+            cand = np.concatenate([metric + penalty(lam, 1.0), metric + penalty(lam, -1.0)])
+            keep = np.arange(cand.size)
+            if cand.size > list_size:
+                keep = np.argsort(cand, kind="stable")[:list_size]
+            origin, bit = keep % rows, (keep >= rows).astype(np.uint8)
+            metric, payload = cand[keep], payload[origin]
+            payload[:, column[lo]] = bit
+            return origin, bit[:, None]
+        half = size // 2
+        a, b = llr[:, :half], llr[:, half:]
+        from_left, x_left = rec(np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b)), lo)
+        a, b = a[from_left], b[from_left]
+        from_right, x_right = rec(np.where(x_left == 1, b - a, b + a), lo + half)
+        x_left = x_left[from_right]
+        return from_left[from_right], np.concatenate([x_left ^ x_right, x_right], axis=1)
+
+    rec(np.asarray(chan_llr, dtype=float)[None, :], 0)
+    ranked = np.argsort(metric, kind="stable")
+    passed = [np.array_equal(crc_remainder(row, crc_poly), crc_want) for row in payload]
+    best = next((r for r in ranked if passed[r]), ranked[0])
+    return payload[best], (passed[best], sum(passed), len(passed))
 
 
 # -- synthetic channel reliabilities ---------------------------------------
@@ -202,6 +268,18 @@ def test_crc_is_linear():
 def test_crc_rejects_degenerate_poly():
     with pytest.raises(ValueError):
         crc_compute(np.array([1, 0], dtype=np.uint8), np.array([0, 1, 1]))
+
+
+@pytest.mark.parametrize("crc_len", [4, 8])
+@pytest.mark.parametrize("k_info", [1, 2, 20, 819])
+def test_crc_matrix_rows_are_unit_message_crcs(crc_len, k_info):
+    # The decoder checks a payload u by (u @ crc_matrix) mod 2, which holds
+    # only if row i is the CRC of the i-th unit message.
+    code = construct_code(2048, k_info / 2048, crc_len=crc_len)
+    assert code.k_info == k_info
+    want = [crc_remainder(row, code.crc_poly) for row in np.eye(k_info, dtype=np.uint8)]
+    assert code.crc_matrix.dtype == np.uint8
+    assert np.array_equal(code.crc_matrix, want)
 
 
 # -- code construction -------------------------------------------------------
@@ -348,6 +426,46 @@ def test_decode_matches_recursive_reference():
 
             got = scl_decode(q_auth, side, code, channel_p)
             assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(3, 8),
+    crc_len=st.sampled_from([4, 8]),
+    k_frac=st.floats(0.0, 1.0),
+    # Below about 1e-308, ln((1 - p) / p) overflows to an infinite LLR.
+    channel_p=st.floats(1e-300, 0.5, exclude_max=True),
+    list_size=st.sampled_from([1, 2, 3, 4, 8]),
+    flip_p=st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_list_decode_matches_recursive_reference(
+    n, crc_len, k_frac, channel_p, list_size, flip_p, seed
+):
+    # Bits and DecodeDetail agree with the recursive list decoder, while
+    # the list grows, fills and prunes.  Examples are derandomized so that
+    # every run draws the same ones.
+    block_len = 1 << n
+    if crc_len >= block_len:
+        crc_len = 4
+    k_info = 1 + int(k_frac * (block_len - crc_len - 1))
+    code = construct_code(block_len, k_info / block_len, crc_len=crc_len, list_size=list_size)
+    rng = np.random.default_rng(seed)
+    q = rng.integers(0, 2, size=block_len).astype(np.uint8)
+    _, side = extract_side_info(q, code)
+    q_auth = (q ^ (rng.random(block_len) < flip_p)).astype(np.uint8)
+
+    pinned = np.full(block_len, -1, dtype=int)
+    pinned[code.frozen_positions] = side.frozen_values
+    mag = math.log((1 - channel_p) / channel_p)
+    chan_llr = (1 - 2 * q_auth.astype(float)) * mag
+    want, (passed, pass_count, paths) = scl_reference(
+        chan_llr, pinned, code.crc_poly, side.crc_bits, list_size
+    )
+
+    got, detail = scl_decode_detail(q_auth, side, code, channel_p)
+    assert np.array_equal(got, want)
+    assert detail == DecodeDetail(passed, pass_count, paths)
 
 
 def test_decode_degrades_with_flip_probability():

@@ -162,6 +162,14 @@ def test_summary_reports_calibrated_operating_point():
     assert s["pfa_emp"] <= sim.cfg.target_pfa
 
 
+def test_summary_model_rates_are_the_roc_row_at_threshold():
+    sim = Simulator(tiny_cfg())
+    s = sim.summary()
+    row = sim.roc_table()[s["eta_th"]]
+    assert row["eta_th"] == s["eta_th"]
+    assert (row["pfa_model"], row["pd_model"]) == (s["pfa_model"], s["pd_model"])
+
+
 def test_channel_p_estimated_when_not_overridden():
     cfg = tiny_cfg(channel_p_override=None, calibration_trials=20)
     s = Simulator(cfg).summary()
