@@ -4,8 +4,9 @@ Channel gains follow a first-order Gauss-Markov process in the slot index,
 so consecutive slots stay correlated while the marginal distribution remains
 complex Gaussian with fixed variance.  Enrollment measurements see only
 receiver noise; authentication measurements additionally pick up weighted
-interference from concurrently transmitting users.  A batch of measurements
-is flattened into a real feature vector that downstream stages quantize.
+interference from concurrently transmitting users.  A measurement's float64
+view (each gain's real part followed by its imaginary part) is the real
+feature vector that downstream stages quantize.
 """
 
 from __future__ import annotations
@@ -156,18 +157,3 @@ def auth_measurement(
         out = out + w * h_i
     return out
 
-
-def build_feature_vector(measurements: list[np.ndarray]) -> np.ndarray:
-    """Flatten complex measurements into one real vector.
-
-    Layout is sample-major: for each measurement in order, antennas appear in
-    index order with the real part immediately followed by the imaginary
-    part.  Length is 2 * len(measurements) * n_b.
-    """
-    if not measurements:
-        raise ValueError("need at least one measurement")
-    block = np.stack(measurements)  # (M, n_b) complex
-    out = np.empty(block.shape + (2,), dtype=float)
-    out[..., 0] = block.real
-    out[..., 1] = block.imag
-    return out.reshape(-1)

@@ -156,13 +156,8 @@ def _build_decode_steps(free_mask: np.ndarray, n: int) -> tuple:
     return tuple(steps)
 
 
-def construct_code(
-    block_len: int,
-    rate: float,
-    crc_len: int | None = None,
-    list_size: int = 8,
-) -> PolarCode:
-    """Build the code for a payload rate.
+def code_dimensions(block_len: int, rate: float, crc_len: int | None = None):
+    """(K, CRC length) of the code :func:`construct_code` builds.
 
     K = round(rate * block_len) payload bits.  The CRC length defaults to 4
     (poly x^4+x+1) when K < 20 and 8 (poly x^8+x^2+x+1) otherwise.
@@ -170,21 +165,29 @@ def construct_code(
     _check_block_len(block_len)
     if not 0.0 < rate < 1.0:
         raise ValueError("rate must lie in (0, 1)")
-    if list_size < 1:
-        raise ValueError("list_size must be >= 1")
     k_info = int(round(rate * block_len))
     if k_info < 1:
         raise ValueError(f"rate {rate} rounds to zero payload bits")
     if crc_len is None:
         crc_len = 4 if k_info < 20 else 8
-    if crc_len == 4:
-        crc_poly = CRC4_POLY
-    elif crc_len == 8:
-        crc_poly = CRC8_POLY
-    else:
+    if crc_len not in (4, 8):
         raise ValueError("crc_len must be 4 or 8")
     if k_info + crc_len > block_len:
         raise ValueError("payload plus CRC exceeds the block length")
+    return k_info, crc_len
+
+
+def construct_code(
+    block_len: int,
+    rate: float,
+    crc_len: int | None = None,
+    list_size: int = 8,
+) -> PolarCode:
+    """Build the code for a payload rate; see :func:`code_dimensions`."""
+    if list_size < 1:
+        raise ValueError("list_size must be >= 1")
+    k_info, crc_len = code_dimensions(block_len, rate, crc_len)
+    crc_poly = CRC4_POLY if crc_len == 4 else CRC8_POLY
 
     order = bec_reliability(block_len)
     info = np.sort(order[:k_info])
@@ -231,11 +234,10 @@ def extract_side_info(q_enroll: np.ndarray, code: PolarCode):
     if q.size != code.block_len:
         raise ValueError(f"expected {code.block_len} bits, got {q.size}")
     u = polar_transform(q)
-    r = u[code.info_positions].copy()
-    side = SideInfo(
-        frozen_values=u[code.frozen_positions].copy(),
-        crc_bits=crc_compute(r, code.crc_poly),
-    )
+    r = u[code.info_positions]
+    # The CRC is linear: one mat-vec mod 2 (uint8 sums wrap modulo 256,
+    # which keeps their parity).
+    side = SideInfo(frozen_values=u[code.frozen_positions], crc_bits=(r @ code.crc_matrix) & 1)
     return r, side
 
 
@@ -266,6 +268,13 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
+# Sign form of a bit, (-1)^x: XOR of bits is the product of their signs.
+_SIGN = np.array([1, -1], dtype=np.int8)
+# Candidate LLR factors of a free bit: bit 0 costs softplus(-lam), bit 1
+# softplus(lam).
+_FORK = np.array([[-1.0], [1.0]])
+
+
 def scl_decode_detail(q_auth, side, code, channel_p):
     """Like :func:`scl_decode` but also returns a :class:`DecodeDetail`."""
     if not 0.0 < channel_p < 0.5:
@@ -279,28 +288,34 @@ def scl_decode_detail(q_auth, side, code, channel_p):
     k_info = code.k_info
 
     mag = math.log((1.0 - channel_p) / channel_p)
+    if not math.isfinite(mag):
+        raise ValueError(f"channel_p {channel_p} gives an infinite channel LLR")
     chan = (1.0 - 2.0 * q.astype(float)) * mag
 
-    pinned_vals = np.zeros(block_len, dtype=np.uint8)
-    pinned_vals[code.frozen_positions] = side.frozen_values
-
     # Pinned subtrees contribute path metric against their known codeword
-    # chunk transform(u_chunk); precompute chunks and their sign patterns.
-    seg_bits = {}
-    seg_sign = {}
-    for kind, lo, d, size in code.decode_steps:
-        if kind == "seg":
-            x = polar_transform(pinned_vals[lo : lo + size])
-            seg_bits[lo] = x
-            seg_sign[lo] = 1.0 - 2.0 * x.astype(float)
+    # chunk transform(u_chunk).  One pass of the n butterfly stages over the
+    # pinned values, in sign form, serves every segment: row s of `stages`
+    # holds the vector after s stages, in which each aligned chunk of 2^s
+    # positions holds that chunk's own transform.  Free positions stay +1;
+    # no segment chunk contains one.
+    stages = np.ones((n + 1, block_len), dtype=np.int8)
+    stages[0, code.frozen_positions] = _SIGN[side.frozen_values]
+    for s in range(1, n + 1):
+        half = 1 << (s - 1)
+        prev = stages[s - 1].reshape(-1, 2, half)
+        cur = stages[s].reshape(-1, 2, half)
+        np.multiply(prev[:, 0], prev[:, 1], out=cur[:, 0])
+        cur[:, 1] = prev[:, 1]
+    neg_stages = stages * -1.0
 
     # Per-path state, rows 0..nact-1 active.  Depth-d LLR/partial-sum levels
     # hold only the segment currently being traversed, so one path's state
     # is O(block_len).  All of it lives in two buffers, one row per path:
-    # LLR levels 1..n in `fstate`, partial-sum levels 1..n and the payload in
-    # `ustate`; the per-level arrays are views, so a fork copies two buffers.
+    # LLR levels 1..n in `fstate`, partial-sum levels 1..n (signs) and the
+    # payload (bits) in `ustate`; the per-level arrays are views, so a fork
+    # copies two buffers.
     fstate = np.zeros((cap, block_len - 1))
-    ustate = np.zeros((cap, 2 * (block_len - 1) + k_info), dtype=np.uint8)
+    ustate = np.zeros((cap, 2 * (block_len - 1) + k_info), dtype=np.int8)
     llr, sums = [None], [None]
     off = 0
     for d in range(1, n + 1):
@@ -308,12 +323,9 @@ def scl_decode_detail(q_auth, side, code, channel_p):
         llr.append(fstate[:, off : off + width])
         sums.append(ustate[:, 2 * off : 2 * (off + width)].reshape(cap, 2, width))
         off += width
-    u_info = ustate[:, 2 * off :]
+    u_info = ustate[:, 2 * off :].view(np.uint8)
     pm = np.zeros(cap)
     nact = 1
-
-    chan_row = chan[np.newaxis, :]
-    info_slot = {int(p): j for j, p in enumerate(code.info_positions)}
 
     def descend(phi, d_top):
         # Refresh LLR levels d0..d_top; d0 is the shallowest level whose
@@ -324,61 +336,62 @@ def scl_decode_detail(q_auth, side, code, channel_p):
             d0 = n - ((phi & -phi).bit_length() - 1)
         for d in range(d0, d_top + 1):
             half = 1 << (n - d)
-            seg = phi >> (n - d)
-            if d == 1:
-                a = chan_row[:, :half]
-                b = chan_row[:, half:]
+            parent = chan if d == 1 else llr[d - 1][:nact]
+            a, b = parent[..., :half], parent[..., half:]
+            t = llr[d][:nact]
+            if (phi >> (n - d)) & 1 == 0:
+                # sign(a) sign(b) min(|a|, |b|), up to the sign of a zero.
+                abs_parent = np.abs(parent)
+                np.minimum(abs_parent[..., :half], abs_parent[..., half:], out=t)
+                np.copysign(t, a * b, out=t)
             else:
-                parent = llr[d - 1]
-                a = parent[:nact, :half]
-                b = parent[:nact, half:]
-            tgt = llr[d]
-            if seg & 1 == 0:
-                tgt[:nact] = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-            else:
-                s_left = sums[d][:nact, 0]
-                tgt[:nact] = np.where(s_left == 1, b - a, b + a)
+                # b - a where the left partial sum is 1, else b + a.
+                np.multiply(a, sums[d][:nact, 0], out=t)
+                np.add(b, t, out=t)
 
     def propagate(d, s):
         # Fold completed right children into parent partial sums.
         while d > 1 and (s & 1):
             half = 1 << (n - d)
-            left = sums[d][:nact, 0]
-            right = sums[d][:nact, 1]
+            level = sums[d][:nact]
             tgt = sums[d - 1][:nact, (s >> 1) & 1]
-            np.bitwise_xor(left, right, out=tgt[:, :half])
-            tgt[:, half:] = right
+            np.multiply(level[:, 0], level[:, 1], out=tgt[:, :half])
+            tgt[:, half:] = level[:, 1]
             s >>= 1
             d -= 1
 
+    # Free steps come in ascending position order, so the j-th is payload
+    # column j.
+    j = 0
     for kind, lo, d_t, size in code.decode_steps:
         descend(lo, d_t)
         if kind == "free":
             lam = llr[n][:nact, 0]
-            cand = np.concatenate([pm[:nact] + _softplus(-lam), pm[:nact] + _softplus(lam)])
+            cand = (_softplus(_FORK * lam) + pm[:nact]).ravel()
             if cand.size <= cap:
                 keep = np.arange(cand.size)
             else:
-                keep = np.argsort(cand, kind="stable")[:cap]
-            parents = keep % nact
-            chosen = (keep >= nact).astype(np.uint8)
+                keep = cand.argsort(kind="stable")[:cap]
+            chosen, parents = np.divmod(keep, nact)
             k = keep.size
             fstate[:k] = fstate.take(parents, axis=0)
             ustate[:k] = ustate.take(parents, axis=0)
             pm[:k] = cand[keep]
-            u_info[:k, info_slot[lo]] = chosen
+            u_info[:k, j] = chosen
+            j += 1
             nact = k
-            sums[n][:nact, lo & 1, 0] = chosen
+            sums[n][:nact, lo & 1, 0] = _SIGN[chosen]
             propagate(n, lo)
         else:
-            lam = llr[d_t][:nact]
-            pm[:nact] += _softplus(-seg_sign[lo] * lam).sum(axis=1)
             s = lo >> (n - d_t)
-            sums[d_t][:nact, s & 1, :] = seg_bits[lo]
+            lam = llr[d_t][:nact]
+            pm[:nact] += _softplus(neg_stages[n - d_t, lo : lo + size] * lam).sum(axis=1)
+            sums[d_t][:nact, s & 1, :] = stages[n - d_t, lo : lo + size]
             propagate(d_t, s)
 
     order = np.argsort(pm[:nact], kind="stable")
-    crcs = (u_info[:nact].astype(np.int64) @ code.crc_matrix.astype(np.int64)) & 1
+    # uint8 sums wrap modulo 256, which keeps their parity.
+    crcs = (u_info[:nact] @ code.crc_matrix) & 1
     passed = np.all(crcs == side.crc_bits, axis=1)
     pass_count = int(passed.sum())
     for rank in order:

@@ -33,13 +33,12 @@ from .authenticator import (
 from .channel import (
     ScenarioConfig,
     auth_measurement,
-    build_feature_vector,
     enrollment_measurement,
     gauss_markov_step,
     sample_channel,
     snr_db_to_sigma_z2,
 )
-from .polar import construct_code, extract_side_info, scl_decode
+from .polar import code_dimensions, construct_code, extract_side_info, scl_decode
 from .quantizer import design_codebook, quantize
 
 H0 = "h0"
@@ -135,8 +134,9 @@ class Simulator:
     # on the one unit-variance codebook with the same cell occupancy.
 
     def _quantized(self, meas):
-        sc = self.cfg.scenario
-        x = build_feature_vector(list(meas.reshape(sc.m_samples, sc.n_b)))
+        # The complex samples' float64 view is the feature vector: sample
+        # major, each gain's real part followed by its imaginary part.
+        x = meas.view(np.float64)
         return quantize(x / np.sqrt(np.mean(x * x)), self.codebook)
 
     def _enroll(self, rng):
@@ -296,35 +296,40 @@ class Simulator:
         }
 
     def metadata(self) -> dict:
-        cfg = self.cfg
-        sc = cfg.scenario
-        meta = {
-            "schema": 1,
-            "version": f"csipla-{__version__}",
-            "n_b": sc.n_b,
-            "beta": sc.beta,
-            "sigma_h2": sc.sigma_h2,
-            "sigma_z2": sc.sigma_z2,
-            "snr_db": sc.snr_db if sc.sigma_z2 > 0 else None,
-            "u_interferers": sc.u_interferers,
-            "alpha": sc.alpha,
-            "m_samples": sc.m_samples,
-            "seed": sc.rng_seed,
-            "quant_bits": cfg.quant_bits,
-            "code_rate": cfg.code_rate,
-            "block_len": cfg.block_len,
-            "k_info": self.code.k_info,
-            "crc_len": self.code.crc_len,
-            "list_size": cfg.list_size,
-            "target_pfa": cfg.target_pfa,
-            "trials": cfg.trials,
-            "calibration_trials": cfg.calibration_trials,
-        }
+        meta = _config_metadata(self.cfg)
         if self.eta_th is not None:
             meta.update(
                 channel_p=self.channel_p, p0=self.p0, p1=self.p1, eta_th=self.eta_th
             )
         return meta
+
+
+def _config_metadata(cfg: ExperimentConfig) -> dict:
+    """Metadata of a configuration; K and the CRC length follow the code rule."""
+    sc = cfg.scenario
+    k_info, crc_len = code_dimensions(cfg.block_len, cfg.code_rate, cfg.crc_len)
+    return {
+        "schema": 1,
+        "version": f"csipla-{__version__}",
+        "n_b": sc.n_b,
+        "beta": sc.beta,
+        "sigma_h2": sc.sigma_h2,
+        "sigma_z2": sc.sigma_z2,
+        "snr_db": sc.snr_db if sc.sigma_z2 > 0 else None,
+        "u_interferers": sc.u_interferers,
+        "alpha": sc.alpha,
+        "m_samples": sc.m_samples,
+        "seed": sc.rng_seed,
+        "quant_bits": cfg.quant_bits,
+        "code_rate": cfg.code_rate,
+        "block_len": cfg.block_len,
+        "k_info": k_info,
+        "crc_len": crc_len,
+        "list_size": cfg.list_size,
+        "target_pfa": cfg.target_pfa,
+        "trials": cfg.trials,
+        "calibration_trials": cfg.calibration_trials,
+    }
 
 
 def _apply_sweep_value(cfg: ExperimentConfig, parameter: str, value) -> ExperimentConfig:
@@ -351,6 +356,8 @@ def sweep(cfg: ExperimentConfig, parameter: str, values):
     """Recalibrate per value and report operating points at the target PFA."""
     # Every value is checked before the first one is simulated.
     cfgs = [_apply_sweep_value(cfg, parameter, value) for value in values]
+    meta = _config_metadata(cfg)
+    meta["sweep_parameter"] = parameter
     rows = []
     for value, sub_cfg in zip(values, cfgs):
         sub = Simulator(sub_cfg)
@@ -359,8 +366,6 @@ def sweep(cfg: ExperimentConfig, parameter: str, values):
         row.update(sub.summary())
         row["trials"] = sub.cfg.calibration_trials
         rows.append(row)
-    meta = Simulator(cfg).metadata()
-    meta["sweep_parameter"] = parameter
     return rows, meta
 
 

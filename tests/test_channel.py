@@ -1,4 +1,4 @@
-"""Fading draws, AR(1) evolution, measurement models, feature packing."""
+"""Fading draws, AR(1) evolution and measurement models."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from csipla.channel import (
     ScenarioConfig,
     auth_measurement,
-    build_feature_vector,
     enrollment_measurement,
     gauss_markov_step,
     sample_channel,
@@ -142,31 +141,6 @@ def test_auth_rejects_mismatched_interferer_length():
     bad = sample_channel(32, 1.0, rng(31))
     with pytest.raises(ValueError):
         auth_measurement(h, [bad], 0.1, 0.0, rng(32))
-
-
-# -- feature vector packing ----------------------------------------------
-
-
-def test_feature_vector_layout():
-    got = build_feature_vector([np.array([3.0 + 4.0j])])
-    assert np.array_equal(got, [3.0, 4.0])
-
-
-def test_feature_vector_sample_major_order():
-    m0 = np.array([1.0 + 2.0j, 3.0 + 4.0j])
-    m1 = np.array([5.0 + 6.0j, 7.0 + 8.0j])
-    got = build_feature_vector([m0, m1])
-    assert np.array_equal(got, [1, 2, 3, 4, 5, 6, 7, 8])
-
-
-def test_feature_vector_length():
-    meas = [sample_channel(32, 1.0, rng(33)) for _ in range(16)]
-    assert build_feature_vector(meas).size == 2 * 16 * 32
-
-
-def test_feature_vector_rejects_empty():
-    with pytest.raises(ValueError):
-        build_feature_vector([])
 
 
 # -- SNR bookkeeping ------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csipla.sim as sim
 from csipla.polar import (
     CRC4_POLY,
     CRC8_POLY,
@@ -369,6 +370,19 @@ def test_side_info_structure():
     assert np.array_equal(side.crc_bits, crc_remainder(u[code.info_positions], code.crc_poly))
 
 
+@pytest.mark.parametrize("crc_len", [4, 8])
+@pytest.mark.parametrize("k_info", [1, 20, 819])
+def test_side_info_crc_matches_long_division(crc_len, k_info):
+    rng = np.random.default_rng(12)
+    code = construct_code(2048, k_info / 2048, crc_len=crc_len)
+    assert code.k_info == k_info
+    for _ in range(5):
+        q = rng.integers(0, 2, size=2048).astype(np.uint8)
+        r, side = extract_side_info(q, code)
+        assert np.array_equal(r, polar_transform(q)[code.info_positions])
+        assert np.array_equal(side.crc_bits, crc_remainder(r, code.crc_poly))
+
+
 def test_side_info_rejects_wrong_length():
     code = construct_code(64, 0.2)
     with pytest.raises(ValueError):
@@ -468,6 +482,43 @@ def test_list_decode_matches_recursive_reference(
     assert detail == DecodeDetail(passed, pass_count, paths)
 
 
+@pytest.mark.parametrize(
+    "quant_bits, code_rate", [(2, 0.01), (1, 0.01), (2, 0.4)], ids=["N2048-K20", "N1024-K10", "N2048-K819"]
+)
+def test_list_decode_matches_recursive_reference_on_simulator_trials(
+    monkeypatch, quant_bits, code_rate
+):
+    # The workload shapes, with the simulator's own inputs: every channel LLR
+    # has the same magnitude, so exact zeros and tied metrics are common.
+    decodes = []
+
+    def recording(q_auth, side, code, channel_p):
+        decodes.append((np.array(q_auth, dtype=np.uint8), side, code, channel_p))
+        return scl_decode(q_auth, side, code, channel_p)
+
+    cfg = sim.ExperimentConfig(quant_bits=quant_bits, code_rate=code_rate, calibration_trials=20)
+    simulator = sim.Simulator(cfg)
+    assert simulator.code.list_size == 2
+    channel_p = simulator._channel_p()
+    monkeypatch.setattr(sim, "scl_decode", recording)
+    for hypothesis, stream in ((sim.H0, 0), (sim.H1, 1)):
+        simulator._trials(hypothesis, stream, 10)
+    assert len(decodes) == 20
+
+    mag = math.log((1 - channel_p) / channel_p)
+    for q_auth, side, code, p in decodes:
+        assert p == channel_p
+        pinned = np.full(code.block_len, -1, dtype=int)
+        pinned[code.frozen_positions] = side.frozen_values
+        chan_llr = (1 - 2 * q_auth.astype(float)) * mag
+        want, (passed, pass_count, paths) = scl_reference(
+            chan_llr, pinned, code.crc_poly, side.crc_bits, code.list_size
+        )
+        got, detail = scl_decode_detail(q_auth, side, code, p)
+        assert np.array_equal(got, want)
+        assert detail == DecodeDetail(passed, pass_count, paths)
+
+
 def test_decode_degrades_with_flip_probability():
     rng = np.random.default_rng(9)
     code = construct_code(512, 0.05, list_size=2)
@@ -532,3 +583,14 @@ def test_decode_validates_inputs():
             scl_decode(q, side, code, bad_p)
     with pytest.raises(ValueError):
         scl_decode(np.zeros(32, dtype=np.uint8), side, code, 0.1)
+
+
+@pytest.mark.parametrize("channel_p", [5e-324, 1e-310])
+def test_decode_rejects_infinite_channel_llr(channel_p):
+    # ln((1 - p) / p) overflows below about 2.2e-308; the min-sum updates
+    # would then compute inf - inf and return NaN metrics.
+    code = construct_code(64, 0.2, list_size=2)
+    q = np.zeros(64, dtype=np.uint8)
+    _, side = extract_side_info(q, code)
+    with pytest.raises(ValueError, match="infinite"):
+        scl_decode_detail(q, side, code, channel_p)

@@ -11,7 +11,9 @@ import json
 import numpy as np
 import pytest
 
-from csipla.channel import ScenarioConfig
+import csipla.sim
+from csipla.channel import ScenarioConfig, sample_channel
+from csipla.polar import construct_code
 from csipla.sim import (
     H0,
     H1,
@@ -191,6 +193,39 @@ def test_enrollment_bits_independent_of_alpha():
         assert np.array_equal(enrolled(alpha), ref)
 
 
+# -- feature vector layout -----------------------------------------------------------
+
+
+def features_of(meas, monkeypatch):
+    # The real vector _quantized hands to the quantizer, in units of its RMS.
+    monkeypatch.setattr(csipla.sim, "quantize", lambda x, codebook: x)
+    return Simulator(tiny_cfg())._quantized(np.asarray(meas, dtype=complex))
+
+
+def unit_rms(x):
+    x = np.asarray(x, dtype=float)
+    return x / np.sqrt(np.mean(x * x))
+
+
+def test_quantized_feature_layout(monkeypatch):
+    # each gain contributes its real part, then its imaginary part
+    assert np.array_equal(features_of([3.0 + 4.0j], monkeypatch), unit_rms([3.0, 4.0]))
+
+
+def test_quantized_feature_sample_major_order(monkeypatch):
+    # the samples follow one another, antennas in index order within each
+    m0 = [1.0 + 2.0j, 3.0 + 4.0j]
+    m1 = [5.0 + 6.0j, 7.0 + 8.0j]
+    got = features_of(m0 + m1, monkeypatch)
+    assert np.array_equal(got, unit_rms([1, 2, 3, 4, 5, 6, 7, 8]))
+
+
+def test_quantized_feature_length():
+    cfg = tiny_cfg()
+    meas = sample_channel(TINY.m_samples * TINY.n_b, 1.0, np.random.default_rng(33))
+    assert Simulator(cfg)._quantized(meas).size == cfg.block_len == 2 * 4 * 8 * 2
+
+
 # -- distribution table --------------------------------------------------------------
 
 
@@ -238,6 +273,24 @@ def test_sweep_rejects_unknown_parameter():
         sweep(tiny_cfg(), "bandwidth", [1.0])
     for name in SWEEP_PARAMETERS:
         assert name in str(err.value)
+
+
+@pytest.mark.parametrize("values", [[0.9], [0.5, 0.9]])
+def test_sweep_builds_one_code_per_value(monkeypatch, values):
+    # The base configuration's metadata takes K and the CRC length from the
+    # code rule; no code is built for it.
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return construct_code(*args, **kwargs)
+
+    cfg = tiny_cfg(code_rate=0.4)
+    monkeypatch.setattr(csipla.sim, "construct_code", counting)
+    _, meta = sweep(cfg, "beta", values)
+    assert len(built) == len(values)
+    code = construct_code(cfg.block_len, cfg.code_rate, list_size=cfg.list_size)
+    assert (meta["k_info"], meta["crc_len"]) == (code.k_info, code.crc_len)
 
 
 def test_sweep_is_deterministic():
