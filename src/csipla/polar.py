@@ -78,34 +78,15 @@ def polar_transform(bits: np.ndarray) -> np.ndarray:
     return x
 
 
-def crc_compute(bits: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """CRC of a bit message: remainder of m(x) * x^c modulo the generator.
-
-    Zero initial register, no final XOR.  `poly` lists the generator
-    coefficients MSB first including the leading term, so its length is
-    c + 1.
-    """
-    poly = np.asarray(poly, dtype=np.uint8)
-    if poly.size < 2 or poly[0] != 1:
-        raise ValueError("poly must start with its leading 1 coefficient")
-    m = np.asarray(bits, dtype=np.uint8)
-    c = poly.size - 1
-    work = np.concatenate([m, np.zeros(c, dtype=np.uint8)])
-    for i in range(m.size):
-        if work[i]:
-            work[i : i + c + 1] ^= poly
-    return work[m.size :].copy()
-
-
 @dataclass(frozen=True, eq=False)
 class PolarCode:
     """Frozen description of one reconciliation code instance.
 
     `info_positions` holds the K most reliable positions and
     `frozen_positions` every other one.  `crc_len` sets only the length of
-    the payload CRC; no position is set aside for it.  `decode_steps` and
-    `crc_matrix` are derived artifacts cached here because they depend only
-    on the position sets.
+    the payload CRC; no position is set aside for it.  `crc_matrix` is a
+    derived artifact cached here because it depends only on K and the CRC
+    polynomial.
     """
 
     block_len: int
@@ -115,7 +96,6 @@ class PolarCode:
     list_size: int
     info_positions: np.ndarray
     frozen_positions: np.ndarray
-    decode_steps: tuple = field(repr=False)
     crc_matrix: np.ndarray = field(repr=False)
 
 
@@ -130,30 +110,6 @@ class SideInfo:
 
     frozen_values: np.ndarray
     crc_bits: np.ndarray
-
-
-def _build_decode_steps(free_mask: np.ndarray, n: int) -> tuple:
-    """Schedule: maximal fully-pinned subtrees collapse to one step each.
-
-    Each entry is (kind, lo, depth, size) with kind "seg" for a pinned
-    subtree processed in one shot and "free" for a single list-decoded bit.
-    """
-    steps = []
-
-    def rec(d, seg):
-        size = 1 << (n - d)
-        lo = seg * size
-        if not free_mask[lo : lo + size].any():
-            steps.append(("seg", lo, d, size))
-            return
-        if size == 1:
-            steps.append(("free", lo, n, 1))
-            return
-        rec(d + 1, 2 * seg)
-        rec(d + 1, 2 * seg + 1)
-
-    rec(0, 0)
-    return tuple(steps)
 
 
 def code_dimensions(block_len: int, rate: float, crc_len: int | None = None):
@@ -193,11 +149,6 @@ def construct_code(
     info = np.sort(order[:k_info])
     frozen = np.sort(order[k_info:])
 
-    free_mask = np.zeros(block_len, dtype=bool)
-    free_mask[info] = True
-    n = block_len.bit_length() - 1
-    steps = _build_decode_steps(free_mask, n)
-
     # CRC is linear (zero init, no final XOR): row i is the CRC of unit
     # message i, x^(K-1-i+c) mod g.  The last row is x^c mod g and each row
     # above is the one below times x mod g: one shift-register pass.
@@ -219,7 +170,6 @@ def construct_code(
         list_size=list_size,
         info_positions=info,
         frozen_positions=frozen,
-        decode_steps=steps,
         crc_matrix=crc_matrix,
     )
 
@@ -255,7 +205,7 @@ def scl_decode(
 ) -> np.ndarray:
     """CRC-aided successive-cancellation list decode of an observed vector.
 
-    The observation is treated as the enrollment vector passed through a
+    The 0/1 observation is treated as the enrollment vector passed through a
     memoryless binary symmetric channel with crossover `channel_p`, giving
     per-bit LLR (1 - 2 q) * ln((1-p)/p).  Returns the K payload bits of the
     best CRC-consistent path, falling back to the overall best path when no
@@ -283,9 +233,10 @@ def scl_decode_detail(q_auth, side, code, channel_p):
     block_len = code.block_len
     if q.size != block_len:
         raise ValueError(f"expected {block_len} bits, got {q.size}")
+    if q.max() > 1:
+        raise ValueError("observed bits must be 0/1 valued")
     n = block_len.bit_length() - 1
     cap = code.list_size
-    k_info = code.k_info
 
     mag = math.log((1.0 - channel_p) / channel_p)
     if not math.isfinite(mag):
@@ -294,10 +245,10 @@ def scl_decode_detail(q_auth, side, code, channel_p):
 
     # Pinned subtrees contribute path metric against their known codeword
     # chunk transform(u_chunk).  One pass of the n butterfly stages over the
-    # pinned values, in sign form, serves every segment: row s of `stages`
+    # pinned values, in sign form, serves every subtree: row s of `stages`
     # holds the vector after s stages, in which each aligned chunk of 2^s
     # positions holds that chunk's own transform.  Free positions stay +1;
-    # no segment chunk contains one.
+    # no pinned chunk contains one.
     stages = np.ones((n + 1, block_len), dtype=np.int8)
     stages[0, code.frozen_positions] = _SIGN[side.frozen_values]
     for s in range(1, n + 1):
@@ -307,94 +258,65 @@ def scl_decode_detail(q_auth, side, code, channel_p):
         np.multiply(prev[:, 0], prev[:, 1], out=cur[:, 0])
         cur[:, 1] = prev[:, 1]
     neg_stages = stages * -1.0
+    # free_before[i] counts the payload positions below i: a subtree is
+    # pinned when the count does not change across it, and a free leaf's
+    # count is its payload column.
+    free_before = np.searchsorted(code.info_positions, np.arange(block_len + 1)).tolist()
 
-    # Per-path state, rows 0..nact-1 active.  Depth-d LLR/partial-sum levels
-    # hold only the segment currently being traversed, so one path's state
-    # is O(block_len).  All of it lives in two buffers, one row per path:
-    # LLR levels 1..n in `fstate`, partial-sum levels 1..n (signs) and the
-    # payload (bits) in `ustate`; the per-level arrays are views, so a fork
-    # copies two buffers.
-    fstate = np.zeros((cap, block_len - 1))
-    ustate = np.zeros((cap, 2 * (block_len - 1) + k_info), dtype=np.int8)
-    llr, sums = [None], [None]
-    off = 0
-    for d in range(1, n + 1):
-        width = 1 << (n - d)
-        llr.append(fstate[:, off : off + width])
-        sums.append(ustate[:, 2 * off : 2 * (off + width)].reshape(cap, 2, width))
-        off += width
-    u_info = ustate[:, 2 * off :].view(np.uint8)
-    pm = np.zeros(cap)
-    nact = 1
+    # Row i of pm and payload is path i, in the row order of the LLR array
+    # handed to the subtree being decoded.
+    pm = np.zeros(1)
+    payload = np.zeros((1, code.k_info), dtype=np.uint8)
 
-    def descend(phi, d_top):
-        # Refresh LLR levels d0..d_top; d0 is the shallowest level whose
-        # segment starts at phi (phi = 0 restarts the full left spine).
-        if phi == 0:
-            d0 = 1
-        else:
-            d0 = n - ((phi & -phi).bit_length() - 1)
-        for d in range(d0, d_top + 1):
-            half = 1 << (n - d)
-            parent = chan if d == 1 else llr[d - 1][:nact]
-            a, b = parent[..., :half], parent[..., half:]
-            t = llr[d][:nact]
-            if (phi >> (n - d)) & 1 == 0:
-                # sign(a) sign(b) min(|a|, |b|), up to the sign of a zero.
-                abs_parent = np.abs(parent)
-                np.minimum(abs_parent[..., :half], abs_parent[..., half:], out=t)
-                np.copysign(t, a * b, out=t)
+    def rec(llr, lo, s):
+        # Decodes positions lo .. lo + 2^s - 1 from `llr`, one row per path.
+        # Returns the row of `llr` each surviving path descends from (None
+        # when no path forked) and the subtree's codeword in sign form.
+        nonlocal pm, payload
+        size = 1 << s
+        if free_before[lo + size] == free_before[lo]:
+            pm += _softplus(neg_stages[s, lo : lo + size] * llr).sum(axis=1)
+            return None, stages[s, lo : lo + size]
+        if s == 0:
+            cand = (_softplus(_FORK * llr[:, 0]) + pm).ravel()
+            keep = np.arange(cand.size) if cand.size <= cap else cand.argsort(kind="stable")[:cap]
+            chosen, rows = np.divmod(keep, llr.shape[0])
+            pm = cand[keep]
+            payload = payload.take(rows, axis=0)
+            payload[:, free_before[lo]] = chosen
+            return rows, _SIGN[chosen][:, None]
+        half = size >> 1
+        # f: sign(a) sign(b) min(|a|, |b|), up to the sign of a zero.
+        abs_llr = np.abs(llr)
+        f = np.minimum(abs_llr[:, :half], abs_llr[:, half:])
+        np.copysign(f, llr[:, :half] * llr[:, half:], out=f)
+        rows, x_left = rec(f, lo, s - 1)
+        if rows is not None:
+            llr = llr.take(rows, axis=0)
+        # g: b - a where the left partial sum is 1, else b + a.
+        right_rows, x_right = rec(llr[:, half:] + x_left * llr[:, :half], lo + half, s - 1)
+        if right_rows is not None:
+            if rows is None:
+                rows = right_rows
             else:
-                # b - a where the left partial sum is 1, else b + a.
-                np.multiply(a, sums[d][:nact, 0], out=t)
-                np.add(b, t, out=t)
+                rows = rows[right_rows]
+                x_left = x_left.take(right_rows, axis=0)
+        x = np.empty((pm.size, size), dtype=np.int8)
+        np.multiply(x_left, x_right, out=x[:, :half])
+        x[:, half:] = x_right
+        return rows, x
 
-    def propagate(d, s):
-        # Fold completed right children into parent partial sums.
-        while d > 1 and (s & 1):
-            half = 1 << (n - d)
-            level = sums[d][:nact]
-            tgt = sums[d - 1][:nact, (s >> 1) & 1]
-            np.multiply(level[:, 0], level[:, 1], out=tgt[:, :half])
-            tgt[:, half:] = level[:, 1]
-            s >>= 1
-            d -= 1
+    rec(chan[None, :], 0, n)
+    # rec reaches itself through its closure cell; without this the cycle
+    # would keep each decode's arrays alive until the cyclic collector runs.
+    del rec
 
-    # Free steps come in ascending position order, so the j-th is payload
-    # column j.
-    j = 0
-    for kind, lo, d_t, size in code.decode_steps:
-        descend(lo, d_t)
-        if kind == "free":
-            lam = llr[n][:nact, 0]
-            cand = (_softplus(_FORK * lam) + pm[:nact]).ravel()
-            if cand.size <= cap:
-                keep = np.arange(cand.size)
-            else:
-                keep = cand.argsort(kind="stable")[:cap]
-            chosen, parents = np.divmod(keep, nact)
-            k = keep.size
-            fstate[:k] = fstate.take(parents, axis=0)
-            ustate[:k] = ustate.take(parents, axis=0)
-            pm[:k] = cand[keep]
-            u_info[:k, j] = chosen
-            j += 1
-            nact = k
-            sums[n][:nact, lo & 1, 0] = _SIGN[chosen]
-            propagate(n, lo)
-        else:
-            s = lo >> (n - d_t)
-            lam = llr[d_t][:nact]
-            pm[:nact] += _softplus(neg_stages[n - d_t, lo : lo + size] * lam).sum(axis=1)
-            sums[d_t][:nact, s & 1, :] = stages[n - d_t, lo : lo + size]
-            propagate(d_t, s)
-
-    order = np.argsort(pm[:nact], kind="stable")
+    order = np.argsort(pm, kind="stable")
     # uint8 sums wrap modulo 256, which keeps their parity.
-    crcs = (u_info[:nact] @ code.crc_matrix) & 1
+    crcs = (payload @ code.crc_matrix) & 1
     passed = np.all(crcs == side.crc_bits, axis=1)
     pass_count = int(passed.sum())
     for rank in order:
         if passed[rank]:
-            return u_info[rank].copy(), DecodeDetail(True, pass_count, nact)
-    return u_info[order[0]].copy(), DecodeDetail(False, pass_count, nact)
+            return payload[rank].copy(), DecodeDetail(True, pass_count, pm.size)
+    return payload[order[0]].copy(), DecodeDetail(False, pass_count, pm.size)
