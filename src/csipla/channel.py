@@ -12,14 +12,21 @@ feature vector that downstream stages quantize.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 
+class ConfigError(ValueError):
+    """A configuration that no run can use, rejected when it is built."""
+
+
 def snr_db_to_sigma_z2(snr_db: float, sigma_h2: float = 1.0) -> float:
     """Noise variance that realizes a target per-antenna SNR in dB."""
-    return sigma_h2 / (10.0 ** (snr_db / 10.0))
+    try:
+        return sigma_h2 / (10.0 ** (snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ConfigError(f"snr_db {snr_db} is out of range") from exc
 
 
 def sigma_z2_to_snr_db(sigma_z2: float, sigma_h2: float = 1.0) -> float:
@@ -53,6 +60,9 @@ class ScenarioConfig:
         fading realization, and the feature vector concatenates them.
     rng_seed : int
         Master seed from which all per-trial streams are derived.
+
+    Each check raises :class:`ConfigError`.  A field's config file section
+    is ``[scenario]`` unless its ``section`` metadata names another.
     """
 
     n_b: int = 32
@@ -62,23 +72,25 @@ class ScenarioConfig:
     u_interferers: int = 3
     alpha: float = 0.01
     m_samples: int = 16
-    rng_seed: int = 12345
+    rng_seed: int = field(default=12345, metadata={"section": "sim"})
 
     def __post_init__(self):
         if self.n_b < 1:
-            raise ValueError("n_b must be >= 1")
+            raise ConfigError("n_b must be >= 1")
         if not 0.0 <= self.beta <= 1.0:
-            raise ValueError("beta must lie in [0, 1]")
-        if self.sigma_h2 <= 0:
-            raise ValueError("sigma_h2 must be positive")
-        if self.sigma_z2 < 0:
-            raise ValueError("sigma_z2 must be non-negative")
+            raise ConfigError("beta must lie in [0, 1]")
+        if not 0.0 < self.sigma_h2 < math.inf:
+            raise ConfigError("sigma_h2 must be positive and finite")
+        if not 0.0 <= self.sigma_z2 < math.inf:
+            raise ConfigError("sigma_z2 must be non-negative and finite")
         if self.u_interferers < 0:
-            raise ValueError("u_interferers must be >= 0")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+            raise ConfigError("u_interferers must be >= 0")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ConfigError("alpha must be non-negative and finite")
         if self.m_samples < 1:
-            raise ValueError("m_samples must be >= 1")
+            raise ConfigError("m_samples must be >= 1")
+        if self.rng_seed < 0:
+            raise ConfigError("rng_seed must be >= 0")
 
     @property
     def snr_db(self) -> float:

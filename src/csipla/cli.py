@@ -2,9 +2,11 @@
 
 Subcommands: `quantizer` (codebook table), `trial` (single traced trial),
 `roc`, `pdf` and `sweep` (CSV experiment outputs).  Configuration comes from
-an INI file plus repeatable `--set key=value` overrides; stdout carries only
-data, diagnostics go to stderr.  Exit codes: 0 success, 2 configuration or
-usage error, 1 internal failure.
+an INI file plus repeatable `--set key=value` overrides, whose keys are the
+config fields (see `_schema`).  stdout carries only data.  Exit codes: 0
+success; 2 a usage error or a rejected configuration (a `ConfigError`),
+reported on stderr before any trial runs; 1 any other failure, with its
+traceback on stderr.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ import argparse
 import configparser
 import dataclasses
 import sys
+import traceback
+import typing
 
-from .channel import ScenarioConfig, snr_db_to_sigma_z2
+from .channel import ConfigError, ScenarioConfig, snr_db_to_sigma_z2
 from .quantizer import design_codebook, dump_codebook
 from .sim import (
     H0,
@@ -28,139 +32,106 @@ from .sim import (
     write_results,
 )
 
-
-class ConfigError(Exception):
-    pass
-
-
-# key -> (section, converter); every scenario/experiment knob reachable from
-# config files and --set lives here, nothing else is accepted.
-_CONFIG_KEYS = {
-    "n_b": ("scenario", int),
-    "beta": ("scenario", float),
-    "sigma_h2": ("scenario", float),
-    "sigma_z2": ("scenario", float),
-    "snr_db": ("scenario", float),
-    "u_interferers": ("scenario", int),
-    "alpha": ("scenario", float),
-    "m_samples": ("scenario", int),
-    "quant_bits": ("code", int),
-    "code_rate": ("code", float),
-    "list_size": ("code", int),
-    "crc_len": ("code", int),
-    "target_pfa": ("detector", float),
-    "trials": ("sim", int),
-    "calibration_trials": ("sim", int),
-    "seed": ("sim", int),
-    "channel_p": ("sim", float),
-}
+# Config keys of the fields whose key is not the field name.
+_RENAMED = {"rng_seed": "seed", "channel_p_override": "channel_p"}
 
 
-def _parse_config_file(path: str) -> dict:
+def _schema() -> dict:
+    """{key: (owning class, field name, INI section, converter)}.
+
+    A key is a field of `ScenarioConfig` or `ExperimentConfig`, renamed by
+    `_RENAMED`, in the section its metadata names and converted by its type
+    (T for `T | None`).  `snr_db` may replace `sigma_z2`, and `crc_len = 0`
+    means automatic; `_build_config` resolves both.
+    """
+    schema = {}
+    for cls in (ScenarioConfig, ExperimentConfig):
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            if f.name != "scenario":
+                conv = (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
+                section = f.metadata.get("section", "scenario")
+                schema[_RENAMED.get(f.name, f.name)] = (cls, f.name, section, conv)
+    schema["snr_db"] = schema["sigma_z2"]
+    return schema
+
+
+_SCHEMA = _schema()
+
+
+def _convert(key: str, raw: str, section: str | None = None):
+    """The value of one config entry; a file entry's section is checked too."""
+    if key not in _SCHEMA:
+        raise ConfigError(
+            f"unknown config key '{key}'; valid keys: " + ", ".join(sorted(_SCHEMA))
+        )
+    expected, conv = _SCHEMA[key][2:]
+    if section is not None and section != expected:
+        raise ConfigError(
+            f"key '{key}' belongs in section [{expected}], found in [{section}]"
+        )
+    try:
+        return conv(raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for '{key}': {raw}") from exc
+
+
+def _read_config_file(path: str) -> dict:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        entries = [(s, key, raw) for s in parser.sections() for key, raw in parser.items(s)]
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file: {path}")
-    values = {}
-    for section in parser.sections():
-        for key, raw in parser.items(section):
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(
-                    f"unknown config key '{key}'; valid keys: "
-                    + ", ".join(sorted(_CONFIG_KEYS))
-                )
-            expected_section, conv = _CONFIG_KEYS[key]
-            if section != expected_section:
-                raise ConfigError(
-                    f"key '{key}' belongs in section [{expected_section}], "
-                    f"found in [{section}]"
-                )
-            try:
-                values[key] = conv(raw)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for '{key}': {raw}") from exc
-    return values
-
-
-def _parse_overrides(pairs) -> dict:
-    values = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise ConfigError(f"--set expects key=value, got '{pair}'")
-        key, raw = pair.split("=", 1)
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(
-                f"unknown override key '{key}'; valid keys: "
-                + ", ".join(sorted(_CONFIG_KEYS))
-            )
-        conv = _CONFIG_KEYS[key][1]
-        try:
-            values[key] = conv(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for '{key}': {raw}") from exc
-    return values
+    return {key: _convert(key, raw, section) for section, key, raw in entries}
 
 
 def _build_config(args) -> ExperimentConfig:
-    values = {}
-    if getattr(args, "config", None):
-        values.update(_parse_config_file(args.config))
-    values.update(_parse_overrides(getattr(args, "set", None)))
-    if getattr(args, "seed", None) is not None:
-        values["seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        values["trials"] = args.trials
+    values = _read_config_file(args.config) if args.config else {}
+    for pair in args.set or []:
+        key, eq, raw = pair.partition("=")
+        if not eq:
+            raise ConfigError(f"--set expects key=value, got '{pair}'")
+        values[key.strip()] = _convert(key.strip(), raw)
+    for key in ("seed", "trials"):
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
 
-    if "sigma_z2" in values and "snr_db" in values:
-        raise ConfigError("specify either sigma_z2 or snr_db, not both")
-    sigma_h2 = values.get("sigma_h2", 1.0)
     if "snr_db" in values:
+        if "sigma_z2" in values:
+            raise ConfigError("specify either sigma_z2 or snr_db, not both")
+        sigma_h2 = values.get("sigma_h2", ScenarioConfig.sigma_h2)
         values["sigma_z2"] = snr_db_to_sigma_z2(values.pop("snr_db"), sigma_h2)
+    if values.get("crc_len") == 0:
+        values["crc_len"] = None
 
-    scenario_kwargs = {}
-    for key in ("n_b", "beta", "sigma_h2", "sigma_z2", "u_interferers", "alpha", "m_samples"):
-        if key in values:
-            scenario_kwargs[key] = values.pop(key)
-    if "seed" in values:
-        scenario_kwargs["rng_seed"] = values.pop("seed")
-
-    cfg_kwargs = {}
-    for src, dst in (
-        ("quant_bits", "quant_bits"),
-        ("code_rate", "code_rate"),
-        ("list_size", "list_size"),
-        ("target_pfa", "target_pfa"),
-        ("trials", "trials"),
-        ("calibration_trials", "calibration_trials"),
-        ("channel_p", "channel_p_override"),
-    ):
-        if src in values:
-            cfg_kwargs[dst] = values.pop(src)
-    if "crc_len" in values:
-        crc = values.pop("crc_len")
-        cfg_kwargs["crc_len"] = None if crc == 0 else crc
-
-    try:
-        scenario = ScenarioConfig(**scenario_kwargs)
-        cfg = ExperimentConfig(scenario=scenario, **cfg_kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    kwargs = {ScenarioConfig: {}, ExperimentConfig: {}}
+    for key, value in values.items():
+        cls, name = _SCHEMA[key][:2]
+        kwargs[cls][name] = value
+    cfg = ExperimentConfig(
+        scenario=ScenarioConfig(**kwargs[ScenarioConfig]), **kwargs[ExperimentConfig]
+    )
     if getattr(args, "deep", False):
         cfg = dataclasses.replace(cfg, trials=cfg.trials * 10)
     return cfg
 
 
-def _emit(args, columns, rows, metadata) -> None:
-    if getattr(args, "out", None):
+def _emit(args, rows, metadata) -> None:
+    # The first row's keys, in order, are the columns.
+    columns = list(rows[0])
+    if args.out:
         write_results(args.out, columns, rows, metadata)
     else:
         sys.stdout.write(render_csv(columns, rows, metadata))
 
 
 def _cmd_quantizer(args) -> int:
-    codebook = design_codebook(args.bits, mu=args.mu, sigma=args.sigma)
-    text = dump_codebook(codebook)
+    if args.bits < 1:
+        raise ConfigError("--bits must be >= 1")
+    text = dump_codebook(design_codebook(args.bits))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -170,6 +141,8 @@ def _cmd_quantizer(args) -> int:
 
 
 def _cmd_trial(args) -> int:
+    if args.index < 0:
+        raise ConfigError("--index must be >= 0")
     cfg = _build_config(args)
     sim = Simulator(cfg)
     rng = trial_rng(cfg.scenario.rng_seed, 99, args.index)
@@ -186,7 +159,7 @@ def _cmd_trial(args) -> int:
         {"field": "channel_p", "value": sim.channel_p},
         {"field": "trial_index", "value": args.index},
     ]
-    _emit(args, ["field", "value"], rows, meta)
+    _emit(args, rows, meta)
     return 0
 
 
@@ -194,7 +167,7 @@ def _cmd_roc(args) -> int:
     cfg = _build_config(args)
     sim = Simulator(cfg)
     rows = sim.roc_table(cfg.trials)
-    _emit(args, ["eta_th", "pfa_emp", "pd_emp", "pfa_model", "pd_model"], rows, sim.metadata())
+    _emit(args, rows, sim.metadata())
     return 0
 
 
@@ -202,12 +175,7 @@ def _cmd_pdf(args) -> int:
     cfg = _build_config(args)
     sim = Simulator(cfg)
     rows = sim.pdf_table(cfg.trials)
-    _emit(
-        args,
-        ["eta", "h0_count", "h1_count", "h0_model_pmf", "h1_model_pmf"],
-        rows,
-        sim.metadata(),
-    )
+    _emit(args, rows, sim.metadata())
     return 0
 
 
@@ -220,21 +188,7 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("sweep needs at least one value")
     rows, meta = sweep(cfg, args.param, values)
-    columns = [
-        "parameter",
-        "value",
-        "k_info",
-        "channel_p",
-        "p0",
-        "p1",
-        "eta_th",
-        "pfa_model",
-        "pd_model",
-        "pfa_emp",
-        "pd_emp",
-        "trials",
-    ]
-    _emit(args, columns, rows, meta)
+    _emit(args, rows, meta)
     return 0
 
 
@@ -259,8 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_quant = subs.add_parser("quantizer", help="print a designed codebook")
     p_quant.add_argument("-n", "--bits", type=int, required=True)
-    p_quant.add_argument("--mu", type=float, default=0.0)
-    p_quant.add_argument("--sigma", type=float, default=1.0)
     p_quant.add_argument("--out")
     p_quant.set_defaults(func=_cmd_quantizer)
 
@@ -288,18 +240,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception:
+        # Anything else is a fault of the program, not of its input.
+        traceback.print_exc()
         return 1
 
 

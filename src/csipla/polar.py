@@ -57,16 +57,26 @@ def bec_reliability(block_len: int) -> np.ndarray:
     return np.argsort(bec_erasure_probs(block_len), kind="stable")
 
 
+def _as_bits(values) -> np.ndarray:
+    """`values` as uint8, refusing any value but 0 and 1 whatever the dtype
+    (a bare cast would turn 0.9 into 0 and -1 into 255)."""
+    arr = np.asarray(values)
+    if arr.dtype == np.uint8:
+        binary = arr.size == 0 or arr.max() <= 1
+    else:
+        binary = bool(np.all((arr == 0) | (arr == 1)))
+    if not binary:
+        raise ValueError("bits must be 0/1 valued")
+    return arr.astype(np.uint8, copy=False)
+
+
 def polar_transform(bits: np.ndarray) -> np.ndarray:
     """Apply F^{(x)n} over GF(2) along the last axis (its own inverse).
 
     Accepts any leading batch shape; the last axis length must be a power
     of two (length 1 is the identity).
     """
-    arr = np.asarray(bits)
-    if arr.size and arr.max() > 1:
-        raise ValueError("bits must be 0/1 valued")
-    x = arr.astype(np.uint8).copy()
+    x = _as_bits(bits).copy()
     n = x.shape[-1]
     if n & (n - 1):
         raise ValueError(f"transform length must be a power of two, got {n}")
@@ -180,7 +190,7 @@ def extract_side_info(q_enroll: np.ndarray, code: PolarCode):
     Returns (r, side): the K reconciled payload bits in ascending position
     order and the SideInfo the verifier stores for later decoding.
     """
-    q = np.asarray(q_enroll, dtype=np.uint8)
+    q = np.asarray(q_enroll)
     if q.size != code.block_len:
         raise ValueError(f"expected {code.block_len} bits, got {q.size}")
     u = polar_transform(q)
@@ -229,12 +239,10 @@ def scl_decode_detail(q_auth, side, code, channel_p):
     """Like :func:`scl_decode` but also returns a :class:`DecodeDetail`."""
     if not 0.0 < channel_p < 0.5:
         raise ValueError(f"channel_p must lie strictly inside (0, 0.5), got {channel_p}")
-    q = np.asarray(q_auth, dtype=np.uint8)
+    q = _as_bits(q_auth)
     block_len = code.block_len
     if q.size != block_len:
         raise ValueError(f"expected {block_len} bits, got {q.size}")
-    if q.max() > 1:
-        raise ValueError("observed bits must be 0/1 valued")
     n = block_len.bit_length() - 1
     cap = code.list_size
 

@@ -50,11 +50,8 @@ class QuantizerCodebook:
     """
 
     n_bits: int
-    mu: float
-    sigma: float
     levels: np.ndarray
     boundaries: np.ndarray
-    gray_labels: tuple[str, ...]
     label_bits: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -66,8 +63,8 @@ class QuantizerCodebook:
             raise ValueError("need exactly len(levels) - 1 boundaries")
 
 
-def _gaussian_cell_mean(a: float, b: float, mu: float, sigma: float) -> float:
-    """Mean of N(mu, sigma^2) restricted to the cell (a, b), tails allowed."""
+def _gaussian_cell_mean(a: float, b: float) -> float:
+    """Mean of N(0, 1) restricted to the cell (a, b), tails allowed."""
 
     def pdf(t):
         return _INV_SQRT_2PI * math.exp(-0.5 * t * t)
@@ -75,32 +72,23 @@ def _gaussian_cell_mean(a: float, b: float, mu: float, sigma: float) -> float:
     def cdf(t):
         return 0.5 * (1.0 + math.erf(t / _SQRT2))
 
-    ta = -math.inf if a == -math.inf else (a - mu) / sigma
-    tb = math.inf if b == math.inf else (b - mu) / sigma
-    mass = (1.0 if tb == math.inf else cdf(tb)) - (0.0 if ta == -math.inf else cdf(ta))
-    num = (0.0 if ta == -math.inf else pdf(ta)) - (0.0 if tb == math.inf else pdf(tb))
-    return mu + sigma * num / mass
+    mass = (1.0 if b == math.inf else cdf(b)) - (0.0 if a == -math.inf else cdf(a))
+    num = (0.0 if a == -math.inf else pdf(a)) - (0.0 if b == math.inf else pdf(b))
+    return num / mass
 
 
-def design_codebook(
-    n_bits: int,
-    mu: float = 0.0,
-    sigma: float = 1.0,
-    max_iters: int = 200,
-) -> QuantizerCodebook:
-    """Design a Lloyd-Max codebook for a Gaussian component density.
+def design_codebook(n_bits: int, max_iters: int = 200) -> QuantizerCodebook:
+    """Design a Lloyd-Max codebook for a zero-mean, unit-variance Gaussian.
 
     Initial levels are the midpoints of 2**n_bits equal subintervals of
-    [mu - 3 sigma, mu + 3 sigma].  Each iteration moves boundaries to level
-    midpoints and levels to the analytic centroid of their cell.  Iteration
-    stops when no level moves by more than 1e-6 * sigma; hitting `max_iters`
-    first only raises a warning, since a slightly unconverged codebook is
-    still a valid quantizer.
+    [-3, 3].  Each iteration moves boundaries to level midpoints and levels
+    to the analytic centroid of their cell.  Iteration stops when no level
+    moves by more than 1e-6; hitting `max_iters` first only raises a
+    warning, since a slightly unconverged codebook is still a valid
+    quantizer.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     n_levels = 1 << n_bits
-    edges = np.linspace(mu - 3.0 * sigma, mu + 3.0 * sigma, n_levels + 1)
+    edges = np.linspace(-3.0, 3.0, n_levels + 1)
     levels = 0.5 * (edges[:-1] + edges[1:])
 
     converged = False
@@ -110,13 +98,13 @@ def design_codebook(
         cells = [-math.inf, *boundaries.tolist(), math.inf]
         new_levels = np.array(
             [
-                _gaussian_cell_mean(cells[i], cells[i + 1], mu, sigma)
+                _gaussian_cell_mean(cells[i], cells[i + 1])
                 for i in range(n_levels)
             ]
         )
         delta = float(np.max(np.abs(new_levels - levels)))
         levels = new_levels
-        if delta < 1e-6 * sigma:
+        if delta < 1e-6:
             converged = True
             break
     if not converged:
@@ -126,15 +114,10 @@ def design_codebook(
             RuntimeWarning,
         )
 
-    boundaries = 0.5 * (levels[:-1] + levels[1:])
-    labels = tuple(gray_code(i, n_bits) for i in range(n_levels))
     return QuantizerCodebook(
         n_bits=n_bits,
-        mu=mu,
-        sigma=sigma,
         levels=levels,
-        boundaries=boundaries,
-        gray_labels=labels,
+        boundaries=0.5 * (levels[:-1] + levels[1:]),
         label_bits=_gray_matrix(n_bits),
     )
 
@@ -150,8 +133,8 @@ def quantize(x: np.ndarray, codebook: QuantizerCodebook) -> np.ndarray:
     Returns a uint8 bit vector of length n_bits * len(x), each sample
     contributing its label most-significant bit first.  Out-of-range samples
     clamp to the nearest extreme level, as the nearest-neighbor rule implies.
-    The caller is responsible for feeding data whose component statistics
-    match the (mu, sigma) the codebook was designed for.
+    The caller is responsible for feeding zero-mean, unit-variance data,
+    the statistics the codebook was designed for.
     """
     idx = level_indices(x, codebook)
     return codebook.label_bits[idx].reshape(-1)
@@ -160,11 +143,9 @@ def quantize(x: np.ndarray, codebook: QuantizerCodebook) -> np.ndarray:
 def dump_codebook(codebook: QuantizerCodebook) -> str:
     """Plain-text table: one `level lower_boundary gray_label` row per level."""
     buf = io.StringIO()
-    buf.write(
-        f"# n_bits={codebook.n_bits} mu={codebook.mu!r} sigma={codebook.sigma!r}\n"
-    )
+    buf.write(f"# n_bits={codebook.n_bits}\n")
     buf.write("# level lower_boundary gray_label\n")
     lowers = [-math.inf, *codebook.boundaries.tolist()]
-    for level, lower, label in zip(codebook.levels.tolist(), lowers, codebook.gray_labels):
-        buf.write(f"{level!r} {lower!r} {label}\n")
+    for level, lower, bits in zip(codebook.levels.tolist(), lowers, codebook.label_bits):
+        buf.write(f"{level!r} {lower!r} {''.join(map(str, bits))}\n")
     return buf.getvalue()

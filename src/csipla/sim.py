@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .authenticator import (
     tail_vector,
 )
 from .channel import (
+    ConfigError,
     ScenarioConfig,
     auth_measurement,
     enrollment_measurement,
@@ -58,29 +59,38 @@ SWEEP_PARAMETERS = ("snr_db", "beta", "alpha", "code_rate", "quant_bits")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Scenario plus code, detector and budget parameters for one run."""
+    """Scenario plus code, detector and budget parameters for one run.
+
+    Every rule a run depends on, the code's dimensions included, is checked
+    here and raises :class:`ConfigError`.
+    """
 
     scenario: ScenarioConfig = ScenarioConfig()
-    quant_bits: int = 2
-    code_rate: float = 0.01
-    list_size: int = 2
-    crc_len: int | None = None
-    target_pfa: float = 1e-3
-    trials: int = 1000
-    calibration_trials: int = 1000
-    channel_p_override: float | None = None
+    quant_bits: int = field(default=2, metadata={"section": "code"})
+    code_rate: float = field(default=0.01, metadata={"section": "code"})
+    list_size: int = field(default=2, metadata={"section": "code"})
+    crc_len: int | None = field(default=None, metadata={"section": "code"})
+    target_pfa: float = field(default=1e-3, metadata={"section": "detector"})
+    trials: int = field(default=1000, metadata={"section": "sim"})
+    calibration_trials: int = field(default=1000, metadata={"section": "sim"})
+    channel_p_override: float | None = field(default=None, metadata={"section": "sim"})
 
     def __post_init__(self):
-        if self.quant_bits < 1:
-            raise ValueError("quant_bits must be >= 1")
-        if not 0.0 < self.code_rate < 1.0:
-            raise ValueError("code_rate must lie in (0, 1)")
+        # This also rejects quant_bits < 1, which leaves no block length.
+        try:
+            code_dimensions(self.block_len, self.code_rate, self.crc_len)
+        except ValueError as exc:
+            raise ConfigError(f"{exc} (block_len = quant_bits * 2 * m_samples * n_b)") from exc
+        if self.list_size < 1:
+            raise ConfigError("list_size must be >= 1")
         if not 0.0 < self.target_pfa < 1.0:
-            raise ValueError("target_pfa must lie in (0, 1)")
+            raise ConfigError("target_pfa must lie in (0, 1)")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ConfigError("trials must be >= 1")
         if self.calibration_trials < 1:
-            raise ValueError("calibration_trials must be >= 1")
+            raise ConfigError("calibration_trials must be >= 1")
+        if self.channel_p_override is not None and not 0.0 < self.channel_p_override < 0.5:
+            raise ConfigError("channel_p_override must lie in (0, 0.5)")
 
     @property
     def block_len(self) -> int:
@@ -102,18 +112,12 @@ class Simulator:
     """
 
     def __init__(self, cfg: ExperimentConfig):
-        block_len = cfg.block_len
-        if block_len & (block_len - 1):
-            raise ValueError(
-                f"quant_bits * 2 * m_samples * n_b = {block_len} "
-                "must be a power of two"
-            )
         self.cfg = cfg
         # Both phases share one unit-variance codebook; each measurement is
         # quantized in units of its own RMS (see _quantized).
         self.codebook = design_codebook(cfg.quant_bits)
         self.code = construct_code(
-            block_len, cfg.code_rate, crc_len=cfg.crc_len, list_size=cfg.list_size
+            cfg.block_len, cfg.code_rate, crc_len=cfg.crc_len, list_size=cfg.list_size
         )
         self.channel_p: float | None = None
         self.p0: float | None = None
@@ -333,28 +337,29 @@ def _config_metadata(cfg: ExperimentConfig) -> dict:
 
 
 def _apply_sweep_value(cfg: ExperimentConfig, parameter: str, value) -> ExperimentConfig:
+    if parameter not in SWEEP_PARAMETERS:
+        raise ConfigError(
+            f"unknown sweep parameter {parameter!r}; valid: {', '.join(SWEEP_PARAMETERS)}"
+        )
     sc = cfg.scenario
     if parameter == "snr_db":
-        sc = dataclasses.replace(sc, sigma_z2=snr_db_to_sigma_z2(value, sc.sigma_h2))
-        return dataclasses.replace(cfg, scenario=sc)
-    if parameter == "beta":
-        return dataclasses.replace(cfg, scenario=dataclasses.replace(sc, beta=value))
-    if parameter == "alpha":
-        return dataclasses.replace(cfg, scenario=dataclasses.replace(sc, alpha=value))
-    if parameter == "code_rate":
-        return dataclasses.replace(cfg, code_rate=value)
-    if parameter == "quant_bits":
-        if int(value) != value:
-            raise ValueError(f"quant_bits sweep values must be integers, got {value}")
-        return dataclasses.replace(cfg, quant_bits=int(value))
-    raise ValueError(
-        f"unknown sweep parameter {parameter!r}; valid: {', '.join(SWEEP_PARAMETERS)}"
-    )
+        parameter, value = "sigma_z2", snr_db_to_sigma_z2(value, sc.sigma_h2)
+    elif parameter == "quant_bits":
+        if not float(value).is_integer():
+            raise ConfigError(f"quant_bits sweep values must be integers, got {value}")
+        value = int(value)
+    # The class that owns the field takes the value.
+    if hasattr(sc, parameter):
+        return dataclasses.replace(cfg, scenario=dataclasses.replace(sc, **{parameter: value}))
+    return dataclasses.replace(cfg, **{parameter: value})
 
 
 def sweep(cfg: ExperimentConfig, parameter: str, values):
-    """Recalibrate per value and report operating points at the target PFA."""
-    # Every value is checked before the first one is simulated.
+    """Recalibrate per value and report operating points at the target PFA.
+
+    Every value's configuration is built, so a bad value raises
+    :class:`ConfigError`, before the first value is simulated.
+    """
     cfgs = [_apply_sweep_value(cfg, parameter, value) for value in values]
     meta = _config_metadata(cfg)
     meta["sweep_parameter"] = parameter

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from csipla.channel import (
+    ConfigError,
     ScenarioConfig,
     auth_measurement,
     enrollment_measurement,
@@ -183,8 +184,12 @@ def test_scenario_defaults():
         {"sigma_h2": 0.0},
         {"sigma_z2": -0.1},
         {"u_interferers": -1},
+        {"rng_seed": -1},
+        {"sigma_z2": float("inf")},
+        {"sigma_h2": float("inf")},
+        {"alpha": float("nan")},
     ],
 )
 def test_scenario_rejects_invalid(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ScenarioConfig(**kwargs)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from csipla.cli import main
+from csipla.sim import Simulator
 
 TINY_INI = """\
 [scenario]
@@ -241,6 +242,63 @@ def test_ini_key_in_wrong_section_rejected(tmp_path, capsys):
 def test_missing_config_file_rejected(capsys):
     code, _, err = run_cli(["roc", "--config", "/nonexistent.ini"], capsys)
     assert code == 2
+
+
+# Each input is rejected when its configuration is built, before any trial
+# runs.  `ini` replaces TINY_INI as the --config file.
+@pytest.mark.parametrize(
+    "argv, ini",
+    [
+        (["roc", "--set", "list_size=0"], TINY_INI),
+        (["roc", "--set", "crc_len=5"], TINY_INI),
+        (["roc", "--set", "quant_bits=3"], TINY_INI),  # block_len 192
+        (["roc", "--set", "code_rate=0.001"], TINY_INI),  # K rounds to 0
+        (["roc", "--set", "code_rate=0.99"], TINY_INI),  # payload plus CRC > N
+        (["roc", "--set", "channel_p=0.7"], TINY_INI),
+        (["roc", "--set", "channel_p=-1"], TINY_INI),
+        (["roc", "--set", "sigma_z2=inf"], TINY_INI),
+        (["roc", "--set", "alpha=nan"], TINY_INI),
+        (["roc", "--set", "snr_db=-inf"], TINY_INI),
+        (["roc", "--seed", "-1"], TINY_INI),
+        (["trial", "--index", "-1"], TINY_INI),
+        (["sweep", "--param", "quant_bits", "--values", "1,3"], TINY_INI),
+        (["sweep", "--param", "quant_bits", "--values", "inf"], TINY_INI),
+        (["sweep", "--param", "code_rate", "--values", "0.15,0.0001"], TINY_INI),
+        (["sweep", "--param", "snr_db", "--values", "5000"], TINY_INI),
+        (["roc"], "n_b = 8\n"),
+        (["roc"], "[scenario]\nn_b = 8\nn_b = 4\n"),
+        (["roc"], "\xff[scenario]\n"),
+        (["quantizer", "-n", "0"], None),
+    ],
+    ids=[
+        "list_size-0", "crc_len-5", "quant_bits-3", "rate-K0", "rate-over-N",
+        "channel_p-0.7", "channel_p-minus1", "sigma_z2-inf", "alpha-nan",
+        "snr_db-minus-inf", "seed-minus1", "index-minus1", "sweep-quant_bits-3",
+        "sweep-quant_bits-inf", "sweep-rate-K0", "sweep-snr_db-5000",
+        "ini-no-section", "ini-duplicate-key", "ini-not-utf8", "quantizer-n0",
+    ],
+)
+def test_rejected_input_exits_2(argv, ini, tmp_path, capsys):
+    if ini is not None:
+        path = tmp_path / "cfg.ini"
+        path.write_bytes(ini.encode("latin-1"))
+        argv = argv + ["--config", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "config error" in err
+
+
+def test_internal_fault_exits_1_with_traceback(tiny_ini, capsys, monkeypatch):
+    def broken(self, trials=None):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(Simulator, "roc_table", broken)
+    code, out, err = run_cli(["roc", "--config", tiny_ini], capsys)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" in err and "ValueError: injected fault" in err
+    assert "config error" not in err
 
 
 def test_sigma_and_snr_conflict_rejected(tiny_ini, capsys):

@@ -592,6 +592,39 @@ def test_decode_rejects_non_binary_observation(q_auth):
         scl_decode_detail(q_auth, side, code, 0.1)
 
 
+@pytest.mark.parametrize("value", [0.9, 1.9])
+@pytest.mark.parametrize("entry", ["polar_transform", "extract_side_info", "scl_decode"])
+def test_non_integral_bits_rejected(entry, value):
+    # A uint8 cast alone turns 0.9 into 0 and 1.9 into 1.
+    code = construct_code(64, 0.2, list_size=2)
+    _, side = extract_side_info(np.zeros(64, dtype=np.uint8), code)
+    call = {
+        "polar_transform": polar_transform,
+        "extract_side_info": lambda q: extract_side_info(q, code),
+        "scl_decode": lambda q: scl_decode(q, side, code, 0.1),
+    }[entry]
+    with pytest.raises(ValueError, match="0/1"):
+        call(np.full(64, value))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, bool])
+def test_exact_bits_of_any_dtype_accepted(dtype):
+    code = construct_code(64, 0.2, list_size=2)
+    rng = np.random.default_rng(14)
+    q = rng.integers(0, 2, size=64).astype(np.uint8)
+    q_auth = q ^ (rng.random(64) < 0.1)
+    r, side = extract_side_info(q, code)
+    assert np.array_equal(polar_transform(q.astype(dtype)), polar_transform(q))
+    r_other, side_other = extract_side_info(q.astype(dtype), code)
+    assert np.array_equal(r_other, r)
+    assert np.array_equal(side_other.frozen_values, side.frozen_values)
+    assert np.array_equal(side_other.crc_bits, side.crc_bits)
+    assert np.array_equal(
+        scl_decode(q_auth.astype(dtype), side, code, 0.1),
+        scl_decode(q_auth.astype(np.uint8), side, code, 0.1),
+    )
+
+
 def test_decode_leaves_no_reference_cycle():
     # Arrays caught in a cycle wait for the cyclic collector, which raised
     # peak memory by more than half on the default workload.

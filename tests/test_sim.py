@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import csipla.sim
-from csipla.channel import ScenarioConfig, sample_channel
+from csipla.channel import ConfigError, ScenarioConfig, sample_channel
 from csipla.polar import construct_code
 from csipla.sim import (
     H0,
@@ -65,10 +65,9 @@ def test_block_length_accounting():
 
 def test_non_power_of_two_block_rejected():
     sc = ScenarioConfig(n_b=5, m_samples=3)
-    cfg = ExperimentConfig(scenario=sc, quant_bits=1, code_rate=0.2)
-    assert cfg.block_len == 30
-    with pytest.raises(ValueError):
-        Simulator(cfg)
+    # block_len = 1 * 2 * 3 * 5 = 30
+    with pytest.raises(ValueError, match="got 30"):
+        ExperimentConfig(scenario=sc, quant_bits=1, code_rate=0.2)
 
 
 @pytest.mark.parametrize(
@@ -80,10 +79,17 @@ def test_non_power_of_two_block_rejected():
         {"target_pfa": 0.0},
         {"trials": 0},
         {"calibration_trials": 0},
+        {"code_rate": 0.0001},  # K rounds to 0 at N = 2048
+        {"code_rate": 0.999},  # payload plus CRC exceeds N
+        {"crc_len": 5},
+        {"list_size": 0},
+        {"channel_p_override": 0.0},
+        {"channel_p_override": 0.5},
+        {"channel_p_override": -1.0},
     ],
 )
 def test_experiment_config_rejects_invalid(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ExperimentConfig(**kwargs)
 
 
@@ -266,6 +272,24 @@ def test_sweep_rejects_fractional_quant_bits():
     # the bad value is caught before the first value is simulated
     with pytest.raises(ValueError, match="integer"):
         sweep(tiny_cfg(), "quant_bits", [1.0, 1.5])
+
+
+@pytest.mark.parametrize(
+    "parameter, values", [("quant_bits", [1, 3]), ("code_rate", [0.15, 0.0001])]
+)
+def test_sweep_rejects_bad_value_before_simulating(monkeypatch, parameter, values):
+    # quant_bits 3 gives block_len 192 and code_rate 0.0001 no payload bit;
+    # neither may cost the first value's simulation.
+    built = []
+
+    def counting(cfg):
+        built.append(cfg)
+        return Simulator(cfg)
+
+    monkeypatch.setattr(csipla.sim, "Simulator", counting)
+    with pytest.raises(ConfigError):
+        sweep(tiny_cfg(), parameter, values)
+    assert built == []
 
 
 def test_sweep_rejects_unknown_parameter():
