@@ -224,15 +224,13 @@ def scl_decode(
     return scl_decode_detail(q_auth, side, code, channel_p)[0]
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, x)
-
-
 # Sign form of a bit, (-1)^x: XOR of bits is the product of their signs.
 _SIGN = np.array([1, -1], dtype=np.int8)
-# Candidate LLR factors of a free bit: bit 0 costs softplus(-lam), bit 1
-# softplus(lam).
-_FORK = np.array([[-1.0], [1.0]])
+# Subtrees of at most this many positions that hold a payload position are
+# decoded on Python floats.  Their pinned chunks then have at most 4
+# positions, which numpy sums from 0.0 left to right as the kernel does; at
+# 8 terms numpy switches to pairwise summation.
+_KERNEL_SIZE = 8
 
 
 def scl_decode_detail(q_auth, side, code, channel_p):
@@ -267,8 +265,8 @@ def scl_decode_detail(q_auth, side, code, channel_p):
         cur[:, 1] = prev[:, 1]
     neg_stages = stages * -1.0
     # free_before[i] counts the payload positions below i: a subtree is
-    # pinned when the count does not change across it, and a free leaf's
-    # count is its payload column.
+    # pinned when the count does not change across it, and its payload
+    # columns run from its count at lo to its count at lo + size.
     free_before = np.searchsorted(code.info_positions, np.arange(block_len + 1)).tolist()
 
     # Row i of pm and payload is path i, in the row order of the LLR array
@@ -276,23 +274,81 @@ def scl_decode_detail(q_auth, side, code, channel_p):
     pm = np.zeros(1)
     payload = np.zeros((1, code.k_info), dtype=np.uint8)
 
+    exp, log1p, copysign = math.exp, math.log1p, math.copysign
+
+    def kern(llr, lo, s):
+        # rec on Python lists, one float operation for each of numpy's and
+        # in the same order: `llr` and the codeword hold one list per path,
+        # and `bits` each path's payload bits in the subtree so far.
+        # softplus(v) is (v if v > 0 else 0) + log1p(exp(-|v|)), which is
+        # np.logaddexp(0, v) bit for bit.
+        nonlocal pml, bits
+        size = 1 << s
+        if free_before[lo + size] == free_before[lo]:
+            signs = stages[s, lo : lo + size].tolist()
+            for i, row in enumerate(llr):
+                total = 0.0
+                for x, v in zip(signs, row):
+                    v = v if x < 0 else -v
+                    total += (v if v > 0 else 0.0) + log1p(exp(-abs(v)))
+                pml[i] += total
+            return None, [signs] * len(llr)
+        if s == 0:
+            # All paths with bit 0, then all with bit 1: softplus(-lam) and
+            # softplus(lam) share their log1p term.  The first `cap` under a
+            # stable sort when there are more.
+            count = len(llr)
+            cand = pml + pml
+            for i, ((lam,), m) in enumerate(zip(llr, pml)):
+                t = log1p(exp(-abs(lam)))
+                cand[i] = (0.0 if lam >= 0 else -lam) + t + m
+                cand[i + count] = (lam if lam > 0 else 0.0) + t + m
+            keep = range(2 * count)
+            if 2 * count > cap:
+                keep = sorted(keep, key=cand.__getitem__)[:cap]
+            pml = [cand[k] for k in keep]
+            picks = [divmod(k, count) for k in keep]
+            bits = [bits[row] + [bit] for bit, row in picks]
+            return [row for _, row in picks], [[1 - 2 * bit] for bit, _ in picks]
+        if s == 1:
+            f = [[copysign(min(abs(a), abs(b)), a * b)] for a, b in llr]
+            rows, x_left = kern(f, lo, 0)
+            if rows is not None:
+                llr = [llr[r] for r in rows]
+            g = [[b + x * a] for (x,), (a, b) in zip(x_left, llr)]
+            right_rows, x_right = kern(g, lo + 1, 0)
+            if right_rows is not None:
+                rows = right_rows if rows is None else [rows[r] for r in right_rows]
+                x_left = [x_left[r] for r in right_rows]
+            return rows, [[a * b, b] for (a,), (b,) in zip(x_left, x_right)]
+        half = size >> 1
+        f = [[copysign(min(abs(a), abs(b)), a * b) for a, b in zip(r, r[half:])] for r in llr]
+        rows, x_left = kern(f, lo, s - 1)
+        if rows is not None:
+            llr = [llr[r] for r in rows]
+        g = [[b + x * a for x, a, b in zip(xs, r, r[half:])] for xs, r in zip(x_left, llr)]
+        right_rows, x_right = kern(g, lo + half, s - 1)
+        if right_rows is not None:
+            rows = right_rows if rows is None else [rows[r] for r in right_rows]
+            x_left = [x_left[r] for r in right_rows]
+        return rows, [[a * b for a, b in zip(xl, xr)] + xr for xl, xr in zip(x_left, x_right)]
+
     def rec(llr, lo, s):
         # Decodes positions lo .. lo + 2^s - 1 from `llr`, one row per path.
         # Returns the row of `llr` each surviving path descends from (None
         # when no path forked) and the subtree's codeword in sign form.
-        nonlocal pm, payload
+        nonlocal pm, payload, pml, bits
         size = 1 << s
         if free_before[lo + size] == free_before[lo]:
-            pm += _softplus(neg_stages[s, lo : lo + size] * llr).sum(axis=1)
+            pm += np.logaddexp(0.0, neg_stages[s, lo : lo + size] * llr).sum(axis=1)
             return None, stages[s, lo : lo + size]
-        if s == 0:
-            cand = (_softplus(_FORK * llr[:, 0]) + pm).ravel()
-            keep = np.arange(cand.size) if cand.size <= cap else cand.argsort(kind="stable")[:cap]
-            chosen, rows = np.divmod(keep, llr.shape[0])
-            pm = cand[keep]
+        if size <= _KERNEL_SIZE:
+            pml, bits = pm.tolist(), [[]] * pm.size
+            rows, x = kern(llr.tolist(), lo, s)
+            pm = np.array(pml)
             payload = payload.take(rows, axis=0)
-            payload[:, free_before[lo]] = chosen
-            return rows, _SIGN[chosen][:, None]
+            payload[:, free_before[lo] : free_before[lo + size]] = bits
+            return np.array(rows), np.array(x, dtype=np.int8)
         half = size >> 1
         # f: sign(a) sign(b) min(|a|, |b|), up to the sign of a zero.
         abs_llr = np.abs(llr)
@@ -314,10 +370,12 @@ def scl_decode_detail(q_auth, side, code, channel_p):
         x[:, half:] = x_right
         return rows, x
 
+    pml = bits = None
     rec(chan[None, :], 0, n)
-    # rec reaches itself through its closure cell; without this the cycle
-    # would keep each decode's arrays alive until the cyclic collector runs.
-    del rec
+    # rec and kern reach themselves through their closure cells; without
+    # this the cycles would keep each decode's arrays alive until the
+    # cyclic collector runs.
+    del rec, kern
 
     order = np.argsort(pm, kind="stable")
     # uint8 sums wrap modulo 256, which keeps their parity.

@@ -77,7 +77,7 @@ def _gaussian_cell_mean(a: float, b: float) -> float:
     return num / mass
 
 
-def design_codebook(n_bits: int, max_iters: int = 200) -> QuantizerCodebook:
+def design_codebook(n_bits: int, max_iters: int = 1000) -> QuantizerCodebook:
     """Design a Lloyd-Max codebook for a zero-mean, unit-variance Gaussian.
 
     Initial levels are the midpoints of 2**n_bits equal subintervals of

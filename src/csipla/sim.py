@@ -48,9 +48,10 @@ H1 = "h1"
 # Stream tags for the counter-based seed split.
 _EVAL_H0, _EVAL_H1, _CHANNEL_P, _CAL_H0, _CAL_H1 = range(5)
 
-# Calibrated crossover estimates are clamped into the open interval the
-# decoder accepts; a measured rate of exactly 0 or >= 0.5 would otherwise
-# produce infinite or sign-flipped LLRs.
+# The crossover range a run decodes with.  A calibrated estimate is clamped
+# into it, since a measured rate of exactly 0 or >= 0.5 would otherwise
+# produce infinite or sign-flipped LLRs; an explicit override outside it is
+# rejected.
 _CHANNEL_P_MIN = 1e-4
 _CHANNEL_P_MAX = 0.499
 
@@ -89,8 +90,9 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.calibration_trials < 1:
             raise ConfigError("calibration_trials must be >= 1")
-        if self.channel_p_override is not None and not 0.0 < self.channel_p_override < 0.5:
-            raise ConfigError("channel_p_override must lie in (0, 0.5)")
+        p = self.channel_p_override
+        if p is not None and not _CHANNEL_P_MIN <= p <= _CHANNEL_P_MAX:
+            raise ConfigError(f"channel_p_override must be in [{_CHANNEL_P_MIN}, {_CHANNEL_P_MAX}]")
 
     @property
     def block_len(self) -> int:
@@ -194,7 +196,7 @@ class Simulator:
         if self.channel_p is None:
             cfg = self.cfg
             if cfg.channel_p_override is not None:
-                p = cfg.channel_p_override
+                self.channel_p = cfg.channel_p_override
             else:
                 # Quantize-only pass: mean flip rate between consecutive-slot
                 # legitimate vectors, no decoding involved.
@@ -205,8 +207,7 @@ class Simulator:
                     world, q_a = self._enroll(rng)
                     q_next = self._auth_vector(world, H0, rng)
                     total += float(np.mean(q_a != q_next))
-                p = total / pairs
-            self.channel_p = min(max(p, _CHANNEL_P_MIN), _CHANNEL_P_MAX)
+                self.channel_p = min(max(total / pairs, _CHANNEL_P_MIN), _CHANNEL_P_MAX)
         return self.channel_p
 
     def calibrate(self):

@@ -256,6 +256,8 @@ def test_missing_config_file_rejected(capsys):
         (["roc", "--set", "code_rate=0.99"], TINY_INI),  # payload plus CRC > N
         (["roc", "--set", "channel_p=0.7"], TINY_INI),
         (["roc", "--set", "channel_p=-1"], TINY_INI),
+        (["roc", "--set", "channel_p=1e-6"], TINY_INI),
+        (["roc", "--set", "channel_p=0.4995"], TINY_INI),
         (["roc", "--set", "sigma_z2=inf"], TINY_INI),
         (["roc", "--set", "alpha=nan"], TINY_INI),
         (["roc", "--set", "snr_db=-inf"], TINY_INI),
@@ -272,7 +274,8 @@ def test_missing_config_file_rejected(capsys):
     ],
     ids=[
         "list_size-0", "crc_len-5", "quant_bits-3", "rate-K0", "rate-over-N",
-        "channel_p-0.7", "channel_p-minus1", "sigma_z2-inf", "alpha-nan",
+        "channel_p-0.7", "channel_p-minus1", "channel_p-1e-6", "channel_p-0.4995",
+        "sigma_z2-inf", "alpha-nan",
         "snr_db-minus-inf", "seed-minus1", "index-minus1", "sweep-quant_bits-3",
         "sweep-quant_bits-inf", "sweep-rate-K0", "sweep-snr_db-5000",
         "ini-no-section", "ini-duplicate-key", "ini-not-utf8", "quantizer-n0",

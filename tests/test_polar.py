@@ -476,22 +476,28 @@ def test_list_decode_matches_recursive_reference(
 
 
 @pytest.mark.parametrize(
-    "quant_bits, code_rate", [(2, 0.01), (1, 0.01), (2, 0.4)], ids=["N2048-K20", "N1024-K10", "N2048-K819"]
+    "quant_bits, code_rate, list_size",
+    [(2, 0.01, 2), (1, 0.01, 2), (2, 0.4, 2), (2, 0.4, 4)],
+    ids=["N2048-K20", "N1024-K10", "N2048-K819", "N2048-K819-L4"],
 )
 def test_list_decode_matches_recursive_reference_on_simulator_trials(
-    monkeypatch, quant_bits, code_rate
+    monkeypatch, quant_bits, code_rate, list_size
 ):
     # The workload shapes, with the simulator's own inputs: every channel LLR
     # has the same magnitude, so exact zeros and tied metrics are common.
+    # At L=4 the list is full after two free leaves; from then on each of
+    # the 817 later leaves sorts 8 candidates and keeps 4.
     decodes = []
 
     def recording(q_auth, side, code, channel_p):
         decodes.append((np.array(q_auth, dtype=np.uint8), side, code, channel_p))
         return scl_decode(q_auth, side, code, channel_p)
 
-    cfg = sim.ExperimentConfig(quant_bits=quant_bits, code_rate=code_rate, calibration_trials=20)
+    cfg = sim.ExperimentConfig(
+        quant_bits=quant_bits, code_rate=code_rate, list_size=list_size, calibration_trials=20
+    )
     simulator = sim.Simulator(cfg)
-    assert simulator.code.list_size == 2
+    assert simulator.code.list_size == list_size
     channel_p = simulator._channel_p()
     monkeypatch.setattr(sim, "scl_decode", recording)
     for hypothesis, stream in ((sim.H0, 0), (sim.H1, 1)):
@@ -510,6 +516,25 @@ def test_list_decode_matches_recursive_reference_on_simulator_trials(
         got, detail = scl_decode_detail(q_auth, side, code, p)
         assert np.array_equal(got, want)
         assert detail == DecodeDetail(passed, pass_count, paths)
+
+
+def test_float_softplus_is_logaddexp_bit_for_bit():
+    # The decoder's kernel for small subtrees takes softplus(v) on Python
+    # floats as below, and at a free leaf shares the log1p term between
+    # softplus(-lam) and softplus(lam).  Its metrics equal the numpy
+    # recursion's only while both forms equal np.logaddexp(0, v) bit for
+    # bit, which rests on libm and numpy agreeing: log1p(1.0) is numpy's
+    # 0 + LOGE2, for one.
+    edges = [0.0, 5e-324, 1e-300, 1e-17, 1.0, 36.7, 37.0, 709.7, 710.0, 1e300]
+    rng = np.random.default_rng(15)
+    random = rng.standard_normal(100_000) * 10.0 ** rng.uniform(-20, 3, 100_000)
+    v = np.concatenate([edges, np.negative(edges), random])
+    want = np.logaddexp(0.0, v)
+    direct = [(x if x > 0 else 0.0) + math.log1p(math.exp(-abs(x))) for x in v.tolist()]
+    # softplus(x) as a free leaf takes it for lam = -x.
+    shared = [(0.0 if -x >= 0 else x) + math.log1p(math.exp(-abs(-x))) for x in v.tolist()]
+    assert np.array_equal(np.array(direct).view(np.int64), want.view(np.int64))
+    assert np.array_equal(np.array(shared).view(np.int64), want.view(np.int64))
 
 
 def test_decode_degrades_with_flip_probability():

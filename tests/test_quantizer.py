@@ -1,6 +1,7 @@
 """Lloyd-Max design, Gray labeling, and the quantization map."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,15 @@ def test_one_bit_levels_converge_to_half_normal_mean():
 def test_two_bit_levels_match_published_values():
     cb = design_codebook(2)
     assert cb.levels == pytest.approx([-1.5104, -0.4528, 0.4528, 1.5104], abs=1e-3)
+
+
+def test_four_bit_design_converges_without_warning():
+    # quant_bits = 4 is a valid configuration; its design needs more than
+    # 200 but fewer than 500 iterations.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cb = design_codebook(4)
+    assert cb.levels.size == 16
 
 
 def test_boundaries_are_level_midpoints():

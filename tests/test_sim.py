@@ -86,6 +86,7 @@ def test_non_power_of_two_block_rejected():
         {"channel_p_override": 0.0},
         {"channel_p_override": 0.5},
         {"channel_p_override": -1.0},
+        {"channel_p_override": 1e-6},  # below the clamp range, not clamped quietly
     ],
 )
 def test_experiment_config_rejects_invalid(kwargs):
