@@ -10,7 +10,6 @@ boundary included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,39 +22,31 @@ def hamming_distance(r1: np.ndarray, r2: np.ndarray) -> int:
     return int(np.count_nonzero(a != b))
 
 
-@dataclass(frozen=True)
-class BinomialModel:
-    """Disagreement-count model: eta ~ Binomial(k_len, p)."""
+def pmf_vector(k_len: int, p: float) -> np.ndarray:
+    """P(eta = k) of eta ~ Binomial(k_len, p) for k = 0..k_len.
 
-    k_len: int
-    p: float
-
-    def __post_init__(self):
-        if self.k_len < 1:
-            raise ValueError("k_len must be >= 1")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
-
-
-def binomial_pmf(model: BinomialModel, k: int) -> float:
-    """P(eta = k), evaluated in log space so large k_len stays finite."""
-    n, p = model.k_len, model.p
-    if not 0 <= k <= n:
-        raise ValueError(f"k must lie in [0, {n}]")
-    if p == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if k == n else 0.0
-    log_comb = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-    return math.exp(log_comb + k * math.log(p) + (n - k) * math.log1p(-p))
+    Each term is evaluated in log space so large k_len stays finite.
+    """
+    if k_len < 1:
+        raise ValueError("k_len must be >= 1")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    if p == 0.0 or p == 1.0:
+        pmf = np.zeros(k_len + 1)
+        pmf[int(p) * k_len] = 1.0
+        return pmf
+    log_n, log_p, log_q = math.lgamma(k_len + 1), math.log(p), math.log1p(-p)
+    return np.array([
+        math.exp(
+            log_n - math.lgamma(k + 1) - math.lgamma(k_len - k + 1)
+            + k * log_p + (k_len - k) * log_q
+        )
+        for k in range(k_len + 1)
+    ])
 
 
-def pmf_vector(model: BinomialModel) -> np.ndarray:
-    return np.array([binomial_pmf(model, k) for k in range(model.k_len + 1)])
-
-
-def total_variation(etas: np.ndarray, model: BinomialModel) -> float:
-    """TV distance between an empirical eta sample and the binomial model.
+def total_variation(etas: np.ndarray, k_len: int, p: float) -> float:
+    """TV distance between an empirical eta sample and Binomial(k_len, p).
 
     0.5 * sum_k |empirical_pmf(k) - model_pmf(k)| over k = 0..k_len; this is
     how closely the measured disagreement histogram tracks the closed form.
@@ -63,13 +54,13 @@ def total_variation(etas: np.ndarray, model: BinomialModel) -> float:
     etas = np.asarray(etas, dtype=int)
     if etas.size == 0:
         raise ValueError("need at least one observation")
-    if etas.min() < 0 or etas.max() > model.k_len:
-        raise ValueError(f"eta values must lie in [0, {model.k_len}]")
-    empirical = np.bincount(etas, minlength=model.k_len + 1) / etas.size
-    return 0.5 * float(np.abs(empirical - pmf_vector(model)).sum())
+    if etas.min() < 0 or etas.max() > k_len:
+        raise ValueError(f"eta values must lie in [0, {k_len}]")
+    empirical = np.bincount(etas, minlength=k_len + 1) / etas.size
+    return 0.5 * float(np.abs(empirical - pmf_vector(k_len, p)).sum())
 
 
-def tail_vector(model: BinomialModel) -> np.ndarray:
+def tail_vector(k_len: int, p: float) -> np.ndarray:
     """P(eta > t) for t = 0..k_len, in one pass over the pmf.
 
     The reverse cumulative sum adds the pmf from k_len down, smallest terms
@@ -77,25 +68,25 @@ def tail_vector(model: BinomialModel) -> np.ndarray:
     terms are rounded, so a tail near 1 can overshoot it by a few ulps; the
     vector is clipped to [0, 1].
     """
-    tails = np.zeros(model.k_len + 1)
-    tails[:-1] = np.cumsum(pmf_vector(model)[:0:-1])[::-1]
+    tails = np.zeros(k_len + 1)
+    tails[:-1] = np.cumsum(pmf_vector(k_len, p)[:0:-1])[::-1]
     return np.clip(tails, 0.0, 1.0)
 
 
-def _tail_at(model: BinomialModel, eta_th: int) -> float:
-    if not 0 <= eta_th <= model.k_len:
-        raise ValueError(f"eta_th must lie in [0, {model.k_len}]")
-    return float(tail_vector(model)[eta_th])
+def _tail_at(k_len: int, p: float, eta_th: int) -> float:
+    if not 0 <= eta_th <= k_len:
+        raise ValueError(f"eta_th must lie in [0, {k_len}]")
+    return float(tail_vector(k_len, p)[eta_th])
 
 
 def closed_form_pfa(k_len: int, p0: float, eta_th: int) -> float:
     """False-alarm probability: tail of Binomial(k_len, p0) above eta_th."""
-    return _tail_at(BinomialModel(k_len, p0), eta_th)
+    return _tail_at(k_len, p0, eta_th)
 
 
 def closed_form_pd(k_len: int, p1: float, eta_th: int) -> float:
     """Detection probability: tail of Binomial(k_len, p1) above eta_th."""
-    return _tail_at(BinomialModel(k_len, p1), eta_th)
+    return _tail_at(k_len, p1, eta_th)
 
 
 def calibrate_threshold(
@@ -114,7 +105,7 @@ def calibrate_threshold(
     """
     if target_pfa <= 0:
         raise ValueError("target_pfa must be positive")
-    tails = tail_vector(BinomialModel(k_len, p0))
+    tails = tail_vector(k_len, p0)
     th = int(np.argmax(tails <= target_pfa))
     if h0_etas is None:
         return th

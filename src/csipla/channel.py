@@ -143,7 +143,7 @@ def enrollment_measurement(
 def auth_measurement(
     h_u: np.ndarray,
     interferers: list[np.ndarray],
-    alpha,
+    alpha: float,
     sigma_z2: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
@@ -155,17 +155,14 @@ def auth_measurement(
         Channel of the user under test (legitimate or impersonating).
     interferers : list of ndarray
         Channel vectors of concurrently transmitting users.
-    alpha : float or sequence of float
-        Interference weight; a scalar applies uniformly, a sequence gives
-        one weight per interferer.
+    alpha : float
+        Interference weight applied to every interferer's channel.
     """
-    weights = np.broadcast_to(np.asarray(alpha, dtype=float), (len(interferers),))
     out = h_u + _complex_gaussian(h_u.size, sigma_z2, rng)
-    for w, h_i in zip(weights, interferers):
+    for h_i in interferers:
         if h_i.shape != h_u.shape:
             raise ValueError(
                 f"interferer shape {h_i.shape} does not match user channel {h_u.shape}"
             )
-        out = out + w * h_i
+        out = out + alpha * h_i
     return out
-

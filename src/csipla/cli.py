@@ -28,7 +28,6 @@ from .sim import (
     Simulator,
     render_csv,
     sweep,
-    trial_rng,
     write_results,
 )
 
@@ -41,8 +40,8 @@ def _schema() -> dict:
 
     A key is a field of `ScenarioConfig` or `ExperimentConfig`, renamed by
     `_RENAMED`, in the section its metadata names and converted by its type
-    (T for `T | None`).  `snr_db` may replace `sigma_z2`, and `crc_len = 0`
-    means automatic; `_build_config` resolves both.
+    (T for `T | None`).  `snr_db` may replace `sigma_z2`; `_build_config`
+    resolves it.
     """
     schema = {}
     for cls in (ScenarioConfig, ExperimentConfig):
@@ -77,7 +76,7 @@ def _convert(key: str, raw: str, section: str | None = None):
 
 
 def _read_config_file(path: str) -> dict:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         read = parser.read(path)
         entries = [(s, key, raw) for s in parser.sections() for key, raw in parser.items(s)]
@@ -104,19 +103,14 @@ def _build_config(args) -> ExperimentConfig:
             raise ConfigError("specify either sigma_z2 or snr_db, not both")
         sigma_h2 = values.get("sigma_h2", ScenarioConfig.sigma_h2)
         values["sigma_z2"] = snr_db_to_sigma_z2(values.pop("snr_db"), sigma_h2)
-    if values.get("crc_len") == 0:
-        values["crc_len"] = None
 
     kwargs = {ScenarioConfig: {}, ExperimentConfig: {}}
     for key, value in values.items():
         cls, name = _SCHEMA[key][:2]
         kwargs[cls][name] = value
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         scenario=ScenarioConfig(**kwargs[ScenarioConfig]), **kwargs[ExperimentConfig]
     )
-    if getattr(args, "deep", False):
-        cfg = dataclasses.replace(cfg, trials=cfg.trials * 10)
-    return cfg
 
 
 def _emit(args, rows, metadata) -> None:
@@ -145,8 +139,7 @@ def _cmd_trial(args) -> int:
         raise ConfigError("--index must be >= 0")
     cfg = _build_config(args)
     sim = Simulator(cfg)
-    rng = trial_rng(cfg.scenario.rng_seed, 99, args.index)
-    eta = sim.run_trial(args.hypothesis, rng)
+    eta = sim.run_trial(args.hypothesis, args.index)
     decided_h0 = eta <= sim.eta_th
     meta = sim.metadata()
     rows = [
@@ -163,18 +156,11 @@ def _cmd_trial(args) -> int:
     return 0
 
 
-def _cmd_roc(args) -> int:
+def _cmd_table(args) -> int:
+    """`roc` or `pdf`: the Simulator table of the same name."""
     cfg = _build_config(args)
     sim = Simulator(cfg)
-    rows = sim.roc_table(cfg.trials)
-    _emit(args, rows, sim.metadata())
-    return 0
-
-
-def _cmd_pdf(args) -> int:
-    cfg = _build_config(args)
-    sim = Simulator(cfg)
-    rows = sim.pdf_table(cfg.trials)
+    rows = getattr(sim, f"{args.command}_table")(cfg.trials)
     _emit(args, rows, sim.metadata())
     return 0
 
@@ -200,8 +186,6 @@ def _add_common(sub, trials_flag=True):
     sub.add_argument("--out", help="output basename (.csv and .meta.json)")
     if trials_flag:
         sub.add_argument("--trials", type=int, help="trials per hypothesis")
-        sub.add_argument("--deep", action="store_true",
-                         help="multiply the trial budget by 10")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,13 +206,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_trial.add_argument("--index", type=int, default=0, help="trial counter")
     p_trial.set_defaults(func=_cmd_trial)
 
-    p_roc = subs.add_parser("roc", help="empirical and closed-form ROC")
-    _add_common(p_roc)
-    p_roc.set_defaults(func=_cmd_roc)
-
-    p_pdf = subs.add_parser("pdf", help="eta histograms and binomial fits")
-    _add_common(p_pdf)
-    p_pdf.set_defaults(func=_cmd_pdf)
+    for name, help_text in (
+        ("roc", "empirical and closed-form ROC"),
+        ("pdf", "eta histograms and binomial fits"),
+    ):
+        p_table = subs.add_parser(name, help=help_text)
+        _add_common(p_table)
+        p_table.set_defaults(func=_cmd_table)
 
     p_sweep = subs.add_parser("sweep", help="recalibrated sweep over one parameter")
     _add_common(p_sweep)

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__
 from .authenticator import (
-    BinomialModel,
     calibrate_threshold,
     closed_form_pd,
     closed_form_pfa,
@@ -45,8 +44,10 @@ from .quantizer import design_codebook, quantize
 H0 = "h0"
 H1 = "h1"
 
-# Stream tags for the counter-based seed split.
+# Stream tags for the counter-based seed split; `_TRACE` is the stream of
+# `Simulator.run_trial`.
 _EVAL_H0, _EVAL_H1, _CHANNEL_P, _CAL_H0, _CAL_H1 = range(5)
+_TRACE = 99
 
 # The crossover range a run decodes with.  A calibrated estimate is clamped
 # into it, since a measured rate of exactly 0 or >= 0.5 would otherwise
@@ -70,7 +71,6 @@ class ExperimentConfig:
     quant_bits: int = field(default=2, metadata={"section": "code"})
     code_rate: float = field(default=0.01, metadata={"section": "code"})
     list_size: int = field(default=2, metadata={"section": "code"})
-    crc_len: int | None = field(default=None, metadata={"section": "code"})
     target_pfa: float = field(default=1e-3, metadata={"section": "detector"})
     trials: int = field(default=1000, metadata={"section": "sim"})
     calibration_trials: int = field(default=1000, metadata={"section": "sim"})
@@ -79,7 +79,7 @@ class ExperimentConfig:
     def __post_init__(self):
         # This also rejects quant_bits < 1, which leaves no block length.
         try:
-            code_dimensions(self.block_len, self.code_rate, self.crc_len)
+            code_dimensions(self.block_len, self.code_rate)
         except ValueError as exc:
             raise ConfigError(f"{exc} (block_len = quant_bits * 2 * m_samples * n_b)") from exc
         if self.list_size < 1:
@@ -118,9 +118,7 @@ class Simulator:
         # Both phases share one unit-variance codebook; each measurement is
         # quantized in units of its own RMS (see _quantized).
         self.codebook = design_codebook(cfg.quant_bits)
-        self.code = construct_code(
-            cfg.block_len, cfg.code_rate, crc_len=cfg.crc_len, list_size=cfg.list_size
-        )
+        self.code = construct_code(cfg.block_len, cfg.code_rate, list_size=cfg.list_size)
         self.channel_p: float | None = None
         self.p0: float | None = None
         self.p1: float | None = None
@@ -231,10 +229,10 @@ class Simulator:
 
     # -- experiment surfaces ----------------------------------------------
 
-    def run_trial(self, hypothesis: str, rng) -> int:
-        """Disagreement statistic of one trial drawn from `rng`."""
+    def run_trial(self, hypothesis: str, index: int) -> int:
+        """Disagreement statistic of trial `index` of the traced-trial stream."""
         self.calibrate()
-        return self._trial(hypothesis, rng)
+        return self._trial(hypothesis, trial_rng(self.cfg.scenario.rng_seed, _TRACE, index))
 
     def run_batch(self, hypothesis: str, n_trials: int) -> np.ndarray:
         """Disagreement statistics for n_trials independent evaluation trials."""
@@ -242,15 +240,17 @@ class Simulator:
         stream = _EVAL_H0 if hypothesis == H0 else _EVAL_H1
         return self._trials(hypothesis, stream, n_trials)
 
+    def _eval_batches(self, trials):
+        """H0 and H1 evaluation statistics, `trials` (default cfg.trials) each."""
+        n = trials if trials is not None else self.cfg.trials
+        return self.run_batch(H0, n), self.run_batch(H1, n)
+
     def roc_table(self, trials: int | None = None):
         """Empirical and closed-form ROC, one row per threshold value."""
-        self.calibrate()
-        n = trials if trials is not None else self.cfg.trials
-        etas0 = self.run_batch(H0, n)
-        etas1 = self.run_batch(H1, n)
+        etas0, etas1 = self._eval_batches(trials)
         k = self.code.k_info
-        pfa_model = tail_vector(BinomialModel(k, self.p0)).tolist()
-        pd_model = tail_vector(BinomialModel(k, self.p1)).tolist()
+        pfa_model = tail_vector(k, self.p0).tolist()
+        pd_model = tail_vector(k, self.p1).tolist()
         return [
             {
                 "eta_th": t,
@@ -264,16 +264,13 @@ class Simulator:
 
     def pdf_table(self, trials: int | None = None):
         """Histogram of eta under both hypotheses next to the binomial fit."""
-        self.calibrate()
-        n = trials if trials is not None else self.cfg.trials
-        etas0 = self.run_batch(H0, n)
-        etas1 = self.run_batch(H1, n)
+        etas0, etas1 = self._eval_batches(trials)
         k = self.code.k_info
         bins = np.arange(k + 2)
         h0_counts = np.histogram(etas0, bins=bins)[0]
         h1_counts = np.histogram(etas1, bins=bins)[0]
-        m0 = pmf_vector(BinomialModel(k, self.p0))
-        m1 = pmf_vector(BinomialModel(k, self.p1))
+        m0 = pmf_vector(k, self.p0)
+        m1 = pmf_vector(k, self.p1)
         return [
             {
                 "eta": t,
@@ -312,7 +309,7 @@ class Simulator:
 def _config_metadata(cfg: ExperimentConfig) -> dict:
     """Metadata of a configuration; K and the CRC length follow the code rule."""
     sc = cfg.scenario
-    k_info, crc_len = code_dimensions(cfg.block_len, cfg.code_rate, cfg.crc_len)
+    k_info, crc_len = code_dimensions(cfg.block_len, cfg.code_rate)
     return {
         "schema": 1,
         "version": f"csipla-{__version__}",

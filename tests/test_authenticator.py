@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from csipla.authenticator import (
-    BinomialModel,
-    binomial_pmf,
     calibrate_threshold,
     closed_form_pd,
     closed_form_pfa,
@@ -74,65 +72,55 @@ def test_hamming_rejects_length_mismatch():
 
 def test_model_validates_parameters():
     with pytest.raises(ValueError):
-        BinomialModel(0, 0.5)
+        pmf_vector(0, 0.5)
     with pytest.raises(ValueError):
-        BinomialModel(10, -0.1)
+        pmf_vector(10, -0.1)
     with pytest.raises(ValueError):
-        BinomialModel(10, 1.1)
+        pmf_vector(10, 1.1)
 
 
 def test_pmf_degenerate_rates():
-    m0 = BinomialModel(10, 0.0)
-    assert binomial_pmf(m0, 0) == 1.0
-    assert binomial_pmf(m0, 3) == 0.0
-    m1 = BinomialModel(10, 1.0)
-    assert binomial_pmf(m1, 10) == 1.0
-    assert binomial_pmf(m1, 0) == 0.0
+    pmf0 = pmf_vector(10, 0.0)
+    assert pmf0[0] == 1.0
+    assert pmf0[3] == 0.0
+    pmf1 = pmf_vector(10, 1.0)
+    assert pmf1[10] == 1.0
+    assert pmf1[0] == 0.0
 
 
 def test_pmf_hand_values():
-    m = BinomialModel(2, 0.5)
-    assert pmf_vector(m) == pytest.approx([0.25, 0.5, 0.25], abs=1e-15)
+    assert pmf_vector(2, 0.5) == pytest.approx([0.25, 0.5, 0.25], abs=1e-15)
 
 
 def test_pmf_mode_matches_mean():
     # (n + 1) p = 4.99, so the mode sits at 4
-    m = BinomialModel(10, 0.4539)
-    assert int(np.argmax(pmf_vector(m))) == 4
+    assert int(np.argmax(pmf_vector(10, 0.4539))) == 4
 
 
 def test_pmf_matches_direct_formula():
-    m = BinomialModel(30, 0.37)
+    pmf = pmf_vector(30, 0.37)
     for k in range(31):
-        assert binomial_pmf(m, k) == pytest.approx(direct_pmf(30, 0.37, k), rel=1e-12)
+        assert pmf[k] == pytest.approx(direct_pmf(30, 0.37, k), rel=1e-12)
 
 
 @pytest.mark.parametrize("k_len", [1, 10, 100, 1024])
 def test_pmf_normalizes(k_len):
     for p in (0.01, 0.4539, 0.5, 0.93):
-        assert abs(pmf_vector(BinomialModel(k_len, p)).sum() - 1.0) <= 1e-12
+        assert abs(pmf_vector(k_len, p).sum() - 1.0) <= 1e-12
 
 
 def test_pmf_normalizes_at_large_length():
     # log-space evaluation rounds per term, so the defect grows about
     # linearly in k_len; grant the jumbo case a proportional budget
     for p in (0.01, 0.5, 0.93):
-        assert abs(pmf_vector(BinomialModel(4096, p)).sum() - 1.0) <= 1e-11
-
-
-def test_pmf_rejects_out_of_range_k():
-    with pytest.raises(ValueError):
-        binomial_pmf(BinomialModel(5, 0.5), 6)
-    with pytest.raises(ValueError):
-        binomial_pmf(BinomialModel(5, 0.5), -1)
+        assert abs(pmf_vector(4096, p).sum() - 1.0) <= 1e-11
 
 
 # -- closed-form error rates ---------------------------------------------------
 
 
 def test_tail_probabilities_match_pmf_sums():
-    m = BinomialModel(20, 0.3)
-    pmf = pmf_vector(m)
+    pmf = pmf_vector(20, 0.3)
     for th in range(21):
         want = float(pmf[th + 1 :].sum())
         assert closed_form_pfa(20, 0.3, th) == pytest.approx(want, abs=1e-12)
@@ -151,7 +139,7 @@ def test_tail_with_zero_rate_is_zero():
 def test_tail_never_exceeds_one():
     # The pmf terms are rounded before they are summed, so near p = 1/2 an
     # unclipped tail overshoots 1 at hundreds of thresholds of K = 819.
-    tails = tail_vector(BinomialModel(819, 0.50130))
+    tails = tail_vector(819, 0.50130)
     assert np.all(tails <= 1.0) and tails[-1] == 0.0
     assert np.all(np.diff(tails) <= 0.0)
     assert all(closed_form_pd(819, 0.50130, t) <= 1.0 for t in range(820))
@@ -162,7 +150,7 @@ def test_tail_never_exceeds_one():
 @pytest.mark.parametrize("p", [0.0, 0.001, 0.1, 0.3, 0.5, 0.77, 0.99, 1.0])
 def test_tail_vector_matches_exact_tails(p):
     for k_len in range(1, 41):
-        got = tail_vector(BinomialModel(k_len, p))
+        got = tail_vector(k_len, p)
         want = exact_tails(k_len, p)
         assert got.shape == (k_len + 1,)
         for g, w in zip(got, want):
@@ -173,7 +161,7 @@ def test_tail_vector_matches_exact_tails(p):
 def test_tail_vector_matches_exact_tails_at_high_rate(p):
     # K = 819 is the payload length at code rate 0.4, where the sum has the
     # most terms; the tolerance is perfbench's check of the ROC table.
-    got = tail_vector(BinomialModel(819, p))
+    got = tail_vector(819, p)
     for g, w in zip(got, exact_tails(819, p)):
         assert abs(g - w) <= 1e-9 * w + 1e-300
 
@@ -255,26 +243,22 @@ def test_calibration_rejects_bad_target():
 
 
 def test_total_variation_zero_on_exact_match():
-    m = BinomialModel(2, 0.5)
     etas = np.array([0] + [1, 1] + [2])  # empirical [0.25, 0.5, 0.25]
-    assert total_variation(etas, m) == pytest.approx(0.0, abs=1e-12)
+    assert total_variation(etas, 2, 0.5) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_total_variation_hand_value():
-    m = BinomialModel(1, 0.5)
-    assert total_variation(np.array([0, 0, 0, 1]), m) == pytest.approx(0.25)
+    assert total_variation(np.array([0, 0, 0, 1]), 1, 0.5) == pytest.approx(0.25)
 
 
 def test_total_variation_disjoint_is_one():
-    m = BinomialModel(4, 0.0)
-    assert total_variation(np.full(100, 4), m) == pytest.approx(1.0)
+    assert total_variation(np.full(100, 4), 4, 0.0) == pytest.approx(1.0)
 
 
 def test_total_variation_validates_input():
-    m = BinomialModel(4, 0.5)
     with pytest.raises(ValueError):
-        total_variation(np.array([], dtype=int), m)
+        total_variation(np.array([], dtype=int), 4, 0.5)
     with pytest.raises(ValueError):
-        total_variation(np.array([5]), m)
+        total_variation(np.array([5]), 4, 0.5)
     with pytest.raises(ValueError):
-        total_variation(np.array([-1]), m)
+        total_variation(np.array([-1]), 4, 0.5)

@@ -129,14 +129,6 @@ def test_auth_interference_power():
     assert np.mean(np.abs(y - h) ** 2) == pytest.approx(u * alpha**2, abs=0.02)
 
 
-def test_auth_per_interferer_weights():
-    h = sample_channel(64, 1.0, rng(26))
-    i0 = sample_channel(64, 1.0, rng(27))
-    i1 = sample_channel(64, 1.0, rng(28))
-    y = auth_measurement(h, [i0, i1], [1.0, 0.0], 0.0, rng(29))
-    assert np.allclose(y, h + i0)
-
-
 def test_auth_rejects_mismatched_interferer_length():
     h = sample_channel(64, 1.0, rng(30))
     bad = sample_channel(32, 1.0, rng(31))

@@ -2,13 +2,15 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from csipla.cli import main
-from csipla.sim import Simulator
+from csipla.cli import _build_config, build_parser, main
+from csipla.sim import ExperimentConfig, Simulator
 
 TINY_INI = """\
 [scenario]
@@ -121,14 +123,6 @@ def test_roc_writes_output_files(tiny_ini, tmp_path, capsys):
     assert meta["seed"] == 7
 
 
-def test_roc_deep_flag_multiplies_trials(tiny_ini, capsys):
-    code, out, _ = run_cli(
-        ["roc", "--config", tiny_ini, "--trials", "5", "--deep"], capsys
-    )
-    assert code == 0
-    assert '"trials": 50' in out
-
-
 # -- pdf -------------------------------------------------------------------------
 
 
@@ -180,25 +174,53 @@ def test_sweep_rejects_malformed_values(tiny_ini, capsys):
 # -- output bytes -----------------------------------------------------------------
 
 
-# sha256 of stdout on TINY_INI.  The meta line embeds the package version
-# (csipla-0.1.0), so a version bump changes these hashes; any other change
-# to them is a change to the numbers and must be explained.
-GOLDEN_SHA256 = {
-    "roc": "9bc3640115129a34e84e5b86542553923e5d0ff54eaa06d029b0f9730e127867",
-    "pdf": "7f3372b3c50c345ed41812e1db3eedc2fd2f2a53f4073c14471e13a6a05dc552",
-    "sweep": "ac0880d1124d7cc86e503651255c482b14e8e889a11ce9df7b586957a161de7c",
+# sha256 of stdout, keyed by test id.  A `-default` input runs the default
+# configuration with 200 calibration trials: these are the ROADMAP's
+# byte-identity references.  Every other input runs on TINY_INI.  The meta
+# line embeds the package version (csipla-0.1.0), so a version bump changes
+# these hashes; any other change to them is a change to the numbers and
+# must be explained.
+_CAL200 = ["--set", "calibration_trials=200"]
+PINNED = {
+    "roc": (
+        ["roc"], True,
+        "9bc3640115129a34e84e5b86542553923e5d0ff54eaa06d029b0f9730e127867",
+    ),
+    "pdf": (
+        ["pdf"], True,
+        "7f3372b3c50c345ed41812e1db3eedc2fd2f2a53f4073c14471e13a6a05dc552",
+    ),
+    "sweep": (
+        ["sweep", "--param", "snr_db", "--values", "0,10"], True,
+        "ac0880d1124d7cc86e503651255c482b14e8e889a11ce9df7b586957a161de7c",
+    ),
+    "trial-h1-3": (
+        ["trial", "--hypothesis", "h1", "--index", "3"], True,
+        "eb13cac3f04e01d8c1029e74983e8c37b6f5e073210e161c8bb03cdeebc1248f",
+    ),
+    "roc-default": (
+        ["roc", "--trials", "200"] + _CAL200, False,
+        "66d338c303d6ca57a78edd641f3b52b44fa07c1aece839a51302a29130a0db19",
+    ),
+    "pdf-default": (
+        ["pdf", "--trials", "200"] + _CAL200, False,
+        "a9914987767d7bba657e76118c4a84a6853b336e61ad6290788a92633a6b819f",
+    ),
+    "sweep-default": (
+        ["sweep", "--param", "snr_db", "--values", "0,10"] + _CAL200, False,
+        "42d3f3d0802c40d157422edba5c09c4ff22ae061fa4d941026904e00f2512dea",
+    ),
 }
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["roc"], ["pdf"], ["sweep", "--param", "snr_db", "--values", "0,10"]],
-    ids=lambda argv: argv[0],
-)
-def test_output_bytes_are_pinned(argv, tiny_ini, capsys):
-    code, out, _ = run_cli(argv + ["--config", tiny_ini], capsys)
+@pytest.mark.parametrize("case", list(PINNED))
+def test_output_bytes_are_pinned(case, tiny_ini, capsys):
+    argv, on_tiny_ini, digest = PINNED[case]
+    if on_tiny_ini:
+        argv = argv + ["--config", tiny_ini]
+    code, out, _ = run_cli(argv, capsys)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[argv[0]]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -- config handling ----------------------------------------------------------------
@@ -239,6 +261,16 @@ def test_ini_key_in_wrong_section_rejected(tmp_path, capsys):
     assert "scenario" in err
 
 
+def test_readme_ini_example_builds_the_default_config(tmp_path):
+    # Every value in the README's example is a default, and snr_db = 10
+    # gives sigma_z2 = 0.1 exactly; its `;` comments must not reach a value.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    path = tmp_path / "readme.ini"
+    path.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+    args = build_parser().parse_args(["roc", "--config", str(path)])
+    assert _build_config(args) == ExperimentConfig()
+
+
 def test_missing_config_file_rejected(capsys):
     code, _, err = run_cli(["roc", "--config", "/nonexistent.ini"], capsys)
     assert code == 2
@@ -250,7 +282,6 @@ def test_missing_config_file_rejected(capsys):
     "argv, ini",
     [
         (["roc", "--set", "list_size=0"], TINY_INI),
-        (["roc", "--set", "crc_len=5"], TINY_INI),
         (["roc", "--set", "quant_bits=3"], TINY_INI),  # block_len 192
         (["roc", "--set", "code_rate=0.001"], TINY_INI),  # K rounds to 0
         (["roc", "--set", "code_rate=0.99"], TINY_INI),  # payload plus CRC > N
@@ -273,7 +304,7 @@ def test_missing_config_file_rejected(capsys):
         (["quantizer", "-n", "0"], None),
     ],
     ids=[
-        "list_size-0", "crc_len-5", "quant_bits-3", "rate-K0", "rate-over-N",
+        "list_size-0", "quant_bits-3", "rate-K0", "rate-over-N",
         "channel_p-0.7", "channel_p-minus1", "channel_p-1e-6", "channel_p-0.4995",
         "sigma_z2-inf", "alpha-nan",
         "snr_db-minus-inf", "seed-minus1", "index-minus1", "sweep-quant_bits-3",

@@ -81,7 +81,7 @@ def test_non_power_of_two_block_rejected():
         {"calibration_trials": 0},
         {"code_rate": 0.0001},  # K rounds to 0 at N = 2048
         {"code_rate": 0.999},  # payload plus CRC exceeds N
-        {"crc_len": 5},
+        {"target_pfa": 1.0},
         {"list_size": 0},
         {"channel_p_override": 0.0},
         {"channel_p_override": 0.5},
@@ -134,9 +134,9 @@ def test_roc_endpoints_and_monotonicity():
 def test_run_trial_rejects_unknown_hypothesis():
     sim = Simulator(tiny_cfg())
     with pytest.raises(ValueError):
-        sim.run_trial("h2", trial_rng(0, 0, 0))
+        sim.run_trial("h2", 0)
     # a valid hypothesis yields the statistic itself
-    eta = sim.run_trial(H1, trial_rng(0, 0, 0))
+    eta = sim.run_trial(H1, 0)
     assert isinstance(eta, int) and 0 <= eta <= sim.code.k_info
 
 
