@@ -19,7 +19,7 @@ import traceback
 import typing
 
 from .channel import ConfigError, ScenarioConfig, snr_db_to_sigma_z2
-from .quantizer import design_codebook, dump_codebook
+from .quantizer import MAX_BITS, design_codebook, dump_codebook
 from .sim import (
     H0,
     H1,
@@ -123,8 +123,8 @@ def _emit(args, rows, metadata) -> None:
 
 
 def _cmd_quantizer(args) -> int:
-    if args.bits < 1:
-        raise ConfigError("--bits must be >= 1")
+    if not 1 <= args.bits <= MAX_BITS:
+        raise ConfigError(f"--bits must be in [1, {MAX_BITS}]")
     text = dump_codebook(design_codebook(args.bits))
     if args.out:
         with open(args.out, "w") as fh:

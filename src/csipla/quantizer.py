@@ -3,24 +3,24 @@
 The codebook is designed offline for a Gaussian component density and shared
 verbatim by both protocol phases: enrollment and authentication must index
 the same reconstruction levels or the reconciled bit vectors would diverge
-for reasons unrelated to the channel.  Levels are refined by the classic
-two-step iteration (boundaries at level midpoints, levels at cell centroids)
-with centroids evaluated analytically from the Gaussian pdf/cdf rather than
-from sampled data.  Labels use the reflected binary Gray code so a slip into
-an adjacent cell corrupts exactly one bit.
+for reasons unrelated to the channel.  Newton's method solves the Lloyd-Max
+conditions on the symmetric upper half, at every width up to MAX_BITS.
+Labels use the reflected binary Gray code so a slip into an adjacent cell
+corrupts exactly one bit.
 """
 
 from __future__ import annotations
 
 import io
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+MAX_BITS = 16  # widest label width designed: 2**16 levels
 
 
 def gray_code(index: int, n_bits: int) -> str:
@@ -63,57 +63,56 @@ class QuantizerCodebook:
             raise ValueError("need exactly len(levels) - 1 boundaries")
 
 
-def _gaussian_cell_mean(a: float, b: float) -> float:
-    """Mean of N(0, 1) restricted to the cell (a, b), tails allowed."""
-
-    def pdf(t):
-        return _INV_SQRT_2PI * math.exp(-0.5 * t * t)
-
-    def cdf(t):
-        return 0.5 * (1.0 + math.erf(t / _SQRT2))
-
-    mass = (1.0 if b == math.inf else cdf(b)) - (0.0 if a == -math.inf else cdf(a))
-    num = (0.0 if a == -math.inf else pdf(a)) - (0.0 if b == math.inf else pdf(b))
-    return num / mass
+def _pdf(t: float) -> float:
+    return _INV_SQRT_2PI * math.exp(-0.5 * t * t)
 
 
-def design_codebook(n_bits: int, max_iters: int = 1000) -> QuantizerCodebook:
+def _newton_step(y: list[float]) -> tuple[float, list[float]]:
+    """Largest centroid residual of the upper-half levels `y`, and the step.
+
+    Cell i is (t[i], t[i+1]] = (a, b], t[0] = 0, of mass M (upper-tail erfc
+    differences stay exact far into the tail) and centroid c.  dc/da =
+    pdf(a)(c - a)/M, dc/db = pdf(b)(b - c)/M, and each boundary moves by half
+    of each neighbouring level's step, so a Thomas pass solves the Jacobian.
+    """
+    t = [0.0, *(0.5 * (u + v) for u, v in zip(y, y[1:])), math.inf]
+    worst, sweep = 0.0, [(0.0, 0.0)]
+    for i, level in enumerate(y):
+        a, b = t[i], t[i + 1]
+        pa, pb = _pdf(a), _pdf(b)
+        mass = 0.5 * (math.erfc(a / _SQRT2) - math.erfc(b / _SQRT2))
+        c = (pa - pb) / mass
+        ga = pa * (c - a) / mass if i else 0.0
+        gb = pb * (b - c) / mass if b < math.inf else 0.0
+        worst = max(worst, abs(level - c))
+        cp, dp = sweep[-1]
+        w = 1.0 - 0.5 * (ga + gb) + 0.5 * ga * cp
+        sweep.append((-0.5 * gb / w, (level - c + 0.5 * ga * dp) / w))
+    step = [0.0]
+    for cp, dp in reversed(sweep[1:]):
+        step.append(dp - cp * step[-1])
+    return worst, step[:0:-1]
+
+
+def design_codebook(n_bits: int) -> QuantizerCodebook:
     """Design a Lloyd-Max codebook for a zero-mean, unit-variance Gaussian.
 
-    Initial levels are the midpoints of 2**n_bits equal subintervals of
-    [-3, 3].  Each iteration moves boundaries to level midpoints and levels
-    to the analytic centroid of their cell.  Iteration stops when no level
-    moves by more than 1e-6; hitting `max_iters` first only raises a
-    warning, since a slightly unconverged codebook is still a valid
-    quantizer.
+    Newton's method solves the centroid conditions for the upper half, from
+    the midpoints of 2**n_bits equal slices of [-3, 3]; it keeps the best
+    levels once the largest residual stops falling.
     """
-    n_levels = 1 << n_bits
-    edges = np.linspace(-3.0, 3.0, n_levels + 1)
-    levels = 0.5 * (edges[:-1] + edges[1:])
-
-    converged = False
-    delta = math.inf
-    for _ in range(max_iters):
-        boundaries = 0.5 * (levels[:-1] + levels[1:])
-        cells = [-math.inf, *boundaries.tolist(), math.inf]
-        new_levels = np.array(
-            [
-                _gaussian_cell_mean(cells[i], cells[i + 1])
-                for i in range(n_levels)
-            ]
-        )
-        delta = float(np.max(np.abs(new_levels - levels)))
-        levels = new_levels
-        if delta < 1e-6:
-            converged = True
+    if not 1 <= n_bits <= MAX_BITS:
+        raise ValueError(f"n_bits must be in [1, {MAX_BITS}], got {n_bits}")
+    half = 1 << (n_bits - 1)
+    y = [(j + 0.5) * 3.0 / half for j in range(half)]
+    best, best_res = y, math.inf
+    while True:
+        res, step = _newton_step(y)
+        if not res < best_res:
             break
-    if not converged:
-        warnings.warn(
-            f"Lloyd-Max did not converge within {max_iters} iterations "
-            f"(last max level movement {delta:.3e})",
-            RuntimeWarning,
-        )
-
+        best, best_res = y, res
+        y = [u - s for u, s in zip(y, step)]
+    levels = np.array([-u for u in reversed(best)] + best)
     return QuantizerCodebook(
         n_bits=n_bits,
         levels=levels,

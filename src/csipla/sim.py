@@ -39,7 +39,7 @@ from .channel import (
     snr_db_to_sigma_z2,
 )
 from .polar import code_dimensions, construct_code, extract_side_info, scl_decode
-from .quantizer import design_codebook, quantize
+from .quantizer import MAX_BITS, design_codebook, quantize
 
 H0 = "h0"
 H1 = "h1"
@@ -77,7 +77,8 @@ class ExperimentConfig:
     channel_p_override: float | None = field(default=None, metadata={"section": "sim"})
 
     def __post_init__(self):
-        # This also rejects quant_bits < 1, which leaves no block length.
+        if not 1 <= self.quant_bits <= MAX_BITS:
+            raise ConfigError(f"quant_bits must be in [1, {MAX_BITS}]")
         try:
             code_dimensions(self.block_len, self.code_rate)
         except ValueError as exc:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from csipla.cli import _build_config, build_parser, main
+from csipla.quantizer import gray_code
 from csipla.sim import ExperimentConfig, Simulator
 
 TINY_INI = """\
@@ -50,12 +51,14 @@ def test_quantizer_one_bit(capsys):
     assert "0.7978" in out and "-0.7978" in out
 
 
-def test_quantizer_two_bits_lists_four_levels(capsys):
-    code, out, _ = run_cli(["quantizer", "-n", "2"], capsys)
+# The test configuration turns a RuntimeWarning into an error, so the 8-bit
+# input also checks that the design finishes without one.
+@pytest.mark.parametrize("bits", [2, 8])
+def test_quantizer_lists_gray_labelled_levels(bits, capsys):
+    code, out, _ = run_cli(["quantizer", "-n", str(bits)], capsys)
     assert code == 0
     rows = [line for line in out.splitlines() if not line.startswith("#")]
-    assert len(rows) == 4
-    assert [r.split()[2] for r in rows] == ["00", "01", "11", "10"]
+    assert [r.split()[2] for r in rows] == [gray_code(i, bits) for i in range(1 << bits)]
 
 
 def test_quantizer_requires_bit_width(capsys):
@@ -176,10 +179,10 @@ def test_sweep_rejects_malformed_values(tiny_ini, capsys):
 
 # sha256 of stdout, keyed by test id.  A `-default` input runs the default
 # configuration with 200 calibration trials: these are the ROADMAP's
-# byte-identity references.  Every other input runs on TINY_INI.  The meta
-# line embeds the package version (csipla-0.1.0), so a version bump changes
-# these hashes; any other change to them is a change to the numbers and
-# must be explained.
+# byte-identity references.  `quantizer-2` dumps the 2-bit codebook.  Every
+# other input runs on TINY_INI.  The meta line embeds the package version
+# (csipla-0.1.0), so a version bump changes these hashes; any other change to
+# them is a change to the numbers and must be explained.
 _CAL200 = ["--set", "calibration_trials=200"]
 PINNED = {
     "roc": (
@@ -209,6 +212,10 @@ PINNED = {
     "sweep-default": (
         ["sweep", "--param", "snr_db", "--values", "0,10"] + _CAL200, False,
         "42d3f3d0802c40d157422edba5c09c4ff22ae061fa4d941026904e00f2512dea",
+    ),
+    "quantizer-2": (
+        ["quantizer", "-n", "2"], False,
+        "7c73c7c2269c8b07c59577dbba3b13e840ab8a2cdade5a017cce486fb53ac840",
     ),
 }
 
@@ -302,6 +309,7 @@ def test_missing_config_file_rejected(capsys):
         (["roc"], "[scenario]\nn_b = 8\nn_b = 4\n"),
         (["roc"], "\xff[scenario]\n"),
         (["quantizer", "-n", "0"], None),
+        (["quantizer", "-n", "17"], None),
     ],
     ids=[
         "list_size-0", "quant_bits-3", "rate-K0", "rate-over-N",
@@ -310,6 +318,7 @@ def test_missing_config_file_rejected(capsys):
         "snr_db-minus-inf", "seed-minus1", "index-minus1", "sweep-quant_bits-3",
         "sweep-quant_bits-inf", "sweep-rate-K0", "sweep-snr_db-5000",
         "ini-no-section", "ini-duplicate-key", "ini-not-utf8", "quantizer-n0",
+        "quantizer-n17",
     ],
 )
 def test_rejected_input_exits_2(argv, ini, tmp_path, capsys):

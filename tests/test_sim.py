@@ -87,6 +87,7 @@ def test_non_power_of_two_block_rejected():
         {"channel_p_override": 0.5},
         {"channel_p_override": -1.0},
         {"channel_p_override": 1e-6},  # below the clamp range, not clamped quietly
+        {"quant_bits": 32},  # N is a power of two, but 2**32 levels cannot be designed
     ],
 )
 def test_experiment_config_rejects_invalid(kwargs):
