@@ -73,22 +73,6 @@ def tail_vector(k_len: int, p: float) -> np.ndarray:
     return np.clip(tails, 0.0, 1.0)
 
 
-def _tail_at(k_len: int, p: float, eta_th: int) -> float:
-    if not 0 <= eta_th <= k_len:
-        raise ValueError(f"eta_th must lie in [0, {k_len}]")
-    return float(tail_vector(k_len, p)[eta_th])
-
-
-def closed_form_pfa(k_len: int, p0: float, eta_th: int) -> float:
-    """False-alarm probability: tail of Binomial(k_len, p0) above eta_th."""
-    return _tail_at(k_len, p0, eta_th)
-
-
-def closed_form_pd(k_len: int, p1: float, eta_th: int) -> float:
-    """Detection probability: tail of Binomial(k_len, p1) above eta_th."""
-    return _tail_at(k_len, p1, eta_th)
-
-
 def calibrate_threshold(
     k_len: int, p0: float, target_pfa: float, h0_etas: np.ndarray | None = None
 ) -> int:

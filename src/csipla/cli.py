@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import os
 import sys
 import traceback
 import typing
@@ -226,6 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        folder = os.path.dirname(args.out or "")
+        if folder and not os.path.isdir(folder):
+            raise ConfigError(f"--out directory does not exist: {folder}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

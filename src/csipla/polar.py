@@ -122,11 +122,11 @@ class SideInfo:
     crc_bits: np.ndarray
 
 
-def code_dimensions(block_len: int, rate: float, crc_len: int | None = None):
+def code_dimensions(block_len: int, rate: float):
     """(K, CRC length) of the code :func:`construct_code` builds.
 
-    K = round(rate * block_len) payload bits.  The CRC length defaults to 4
-    (poly x^4+x+1) when K < 20 and 8 (poly x^8+x^2+x+1) otherwise.
+    K = round(rate * block_len) payload bits.  The CRC length is 4 (poly
+    x^4+x+1) when K < 20 and 8 (poly x^8+x^2+x+1) otherwise.
     """
     _check_block_len(block_len)
     if not 0.0 < rate < 1.0:
@@ -134,25 +134,17 @@ def code_dimensions(block_len: int, rate: float, crc_len: int | None = None):
     k_info = int(round(rate * block_len))
     if k_info < 1:
         raise ValueError(f"rate {rate} rounds to zero payload bits")
-    if crc_len is None:
-        crc_len = 4 if k_info < 20 else 8
-    if crc_len not in (4, 8):
-        raise ValueError("crc_len must be 4 or 8")
+    crc_len = 4 if k_info < 20 else 8
     if k_info + crc_len > block_len:
         raise ValueError("payload plus CRC exceeds the block length")
     return k_info, crc_len
 
 
-def construct_code(
-    block_len: int,
-    rate: float,
-    crc_len: int | None = None,
-    list_size: int = 8,
-) -> PolarCode:
+def construct_code(block_len: int, rate: float, list_size: int = 8) -> PolarCode:
     """Build the code for a payload rate; see :func:`code_dimensions`."""
     if list_size < 1:
         raise ValueError("list_size must be >= 1")
-    k_info, crc_len = code_dimensions(block_len, rate, crc_len)
+    k_info, crc_len = code_dimensions(block_len, rate)
     crc_poly = CRC4_POLY if crc_len == 4 else CRC8_POLY
 
     order = bec_reliability(block_len)

@@ -23,20 +23,11 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 MAX_BITS = 16  # widest label width designed: 2**16 levels
 
 
-def gray_code(index: int, n_bits: int) -> str:
-    """Reflected binary Gray label of `index`, most-significant bit first."""
-    if n_bits < 1:
-        raise ValueError("n_bits must be >= 1")
-    if not 0 <= index < (1 << n_bits):
-        raise ValueError(f"index {index} out of range for {n_bits} bits")
-    g = index ^ (index >> 1)
-    return format(g, f"0{n_bits}b")
-
-
 def _gray_matrix(n_bits: int) -> np.ndarray:
-    """All Gray labels as a (2**n_bits, n_bits) uint8 matrix, row i = label i."""
-    labels = [gray_code(i, n_bits) for i in range(1 << n_bits)]
-    return np.array([[int(b) for b in lab] for lab in labels], dtype=np.uint8)
+    """Gray labels i ^ (i >> 1) as a (2**n_bits, n_bits) uint8 matrix, MSB first."""
+    i = np.arange(1 << n_bits)
+    g = i ^ (i >> 1)
+    return ((g[:, None] >> np.arange(n_bits - 1, -1, -1)) & 1).astype(np.uint8)
 
 
 @dataclass(frozen=True, eq=False)

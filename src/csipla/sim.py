@@ -23,8 +23,6 @@ import numpy as np
 from . import __version__
 from .authenticator import (
     calibrate_threshold,
-    closed_form_pd,
-    closed_form_pfa,
     hamming_distance,
     pmf_vector,
     tail_vector,
@@ -100,6 +98,11 @@ class ExperimentConfig:
         return self.quant_bits * self.scenario.n_features
 
 
+def _check_hypothesis(hypothesis: str) -> None:
+    if hypothesis not in (H0, H1):
+        raise ValueError(f"hypothesis must be '{H0}' or '{H1}', got {hypothesis!r}")
+
+
 def trial_rng(master_seed: int, stream: int, index: int) -> np.random.Generator:
     """Independent generator for (stream, index) under one master seed."""
     return np.random.default_rng(
@@ -144,7 +147,9 @@ class Simulator:
         x = meas.view(np.float64)
         return quantize(x / np.sqrt(np.mean(x * x)), self.codebook)
 
-    def _enroll(self, rng):
+    def _vectors(self, hypothesis, rng):
+        """Enrollment labels q_a and one slot later the authentication labels
+        q_u of the same user (H0) or of an impersonator (H1)."""
         sc = self.cfg.scenario
         n = sc.m_samples * sc.n_b
         h_a = sample_channel(n, sc.sigma_h2, rng)
@@ -154,33 +159,22 @@ class Simulator:
         interferers = [
             sample_channel(n, sc.sigma_h2, rng) for _ in range(sc.u_interferers)
         ]
-        meas = enrollment_measurement(h_a, sc.sigma_z2, rng)
-        return (h_a, interferers), self._quantized(meas)
-
-    def _auth_vector(self, world, hypothesis, rng):
-        sc = self.cfg.scenario
-        h_a, interferers = world
+        q_a = self._quantized(enrollment_measurement(h_a, sc.sigma_z2, rng))
         # The legitimate chain always advances, whichever hypothesis holds,
         # keeping the H0/H1 random streams aligned draw for draw.
-        h_next = gauss_markov_step(h_a, sc.beta, sc.sigma_h2, rng)
+        h_u = gauss_markov_step(h_a, sc.beta, sc.sigma_h2, rng)
         ints_next = [
             gauss_markov_step(h_i, sc.beta, sc.sigma_h2, rng) for h_i in interferers
         ]
-        if hypothesis == H0:
-            h_u = h_next
-        elif hypothesis == H1:
-            h_u = sample_channel(h_a.size, sc.sigma_h2, rng)
-        else:
-            raise ValueError(f"hypothesis must be '{H0}' or '{H1}', got {hypothesis!r}")
-        return self._quantized(
-            auth_measurement(h_u, ints_next, sc.alpha, sc.sigma_z2, rng)
-        )
+        if hypothesis == H1:
+            h_u = sample_channel(n, sc.sigma_h2, rng)
+        q_u = self._quantized(auth_measurement(h_u, ints_next, sc.alpha, sc.sigma_z2, rng))
+        return q_a, q_u
 
     def _trial(self, hypothesis, rng) -> int:
         """One end-to-end trial; returns its disagreement statistic eta."""
-        world, q_a = self._enroll(rng)
+        q_a, q_u = self._vectors(hypothesis, rng)
         r_a, side = extract_side_info(q_a, self.code)
-        q_u = self._auth_vector(world, hypothesis, rng)
         r_u = scl_decode(q_u, side, self.code, self._channel_p())
         return hamming_distance(r_a, r_u)
 
@@ -203,8 +197,7 @@ class Simulator:
                 pairs = cfg.calibration_trials
                 for i in range(pairs):
                     rng = trial_rng(cfg.scenario.rng_seed, _CHANNEL_P, i)
-                    world, q_a = self._enroll(rng)
-                    q_next = self._auth_vector(world, H0, rng)
+                    q_a, q_next = self._vectors(H0, rng)
                     total += float(np.mean(q_a != q_next))
                 self.channel_p = min(max(total / pairs, _CHANNEL_P_MIN), _CHANNEL_P_MAX)
         return self.channel_p
@@ -232,11 +225,13 @@ class Simulator:
 
     def run_trial(self, hypothesis: str, index: int) -> int:
         """Disagreement statistic of trial `index` of the traced-trial stream."""
+        _check_hypothesis(hypothesis)
         self.calibrate()
         return self._trial(hypothesis, trial_rng(self.cfg.scenario.rng_seed, _TRACE, index))
 
     def run_batch(self, hypothesis: str, n_trials: int) -> np.ndarray:
         """Disagreement statistics for n_trials independent evaluation trials."""
+        _check_hypothesis(hypothesis)
         self.calibrate()
         stream = _EVAL_H0 if hypothesis == H0 else _EVAL_H1
         return self._trials(hypothesis, stream, n_trials)
@@ -292,8 +287,8 @@ class Simulator:
             "p0": self.p0,
             "p1": self.p1,
             "eta_th": self.eta_th,
-            "pfa_model": closed_form_pfa(k, self.p0, self.eta_th),
-            "pd_model": closed_form_pd(k, self.p1, self.eta_th),
+            "pfa_model": float(tail_vector(k, self.p0)[self.eta_th]),
+            "pd_model": float(tail_vector(k, self.p1)[self.eta_th]),
             "pfa_emp": float(np.mean(self._cal_etas[H0] > self.eta_th)),
             "pd_emp": float(np.mean(self._cal_etas[H1] > self.eta_th)),
         }

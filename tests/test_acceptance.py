@@ -18,8 +18,8 @@ import pytest
 
 from csipla.authenticator import (
     calibrate_threshold,
-    closed_form_pfa,
     pmf_vector,
+    tail_vector,
     total_variation,
 )
 from csipla.channel import ScenarioConfig, snr_db_to_sigma_z2
@@ -30,7 +30,7 @@ from csipla.polar import (
     polar_transform,
     scl_decode,
 )
-from csipla.quantizer import design_codebook, gray_code
+from csipla.quantizer import design_codebook
 from csipla.sim import H0, H1, ExperimentConfig, Simulator, render_csv, sweep
 
 
@@ -203,7 +203,7 @@ def test_c6_numerical_property_suite(report):
 
     ok = True
     for n_bits in range(1, 7):
-        labels = [gray_code(i, n_bits) for i in range(1 << n_bits)]
+        labels = [tuple(row) for row in design_codebook(n_bits).label_bits]
         ok &= len(set(labels)) == 1 << n_bits
         ok &= all(
             sum(x != y for x, y in zip(a, b)) == 1
@@ -217,7 +217,7 @@ def test_c6_numerical_property_suite(report):
             for target in (1e-1, 1e-2, 1e-3, 1e-4):
                 got = calibrate_threshold(k, p0, target)
                 want_th = min(
-                    t for t in range(k + 1) if closed_form_pfa(k, p0, t) <= target
+                    t for t in range(k + 1) if tail_vector(k, p0)[t] <= target
                 )
                 ok &= got == want_th
     report("C6 calibrated threshold minimal (brute force, K <= 20)", ok,

@@ -7,8 +7,6 @@ import pytest
 
 from csipla.authenticator import (
     calibrate_threshold,
-    closed_form_pd,
-    closed_form_pfa,
     hamming_distance,
     pmf_vector,
     tail_vector,
@@ -121,19 +119,19 @@ def test_pmf_normalizes_at_large_length():
 
 def test_tail_probabilities_match_pmf_sums():
     pmf = pmf_vector(20, 0.3)
+    tails = tail_vector(20, 0.3)
     for th in range(21):
         want = float(pmf[th + 1 :].sum())
-        assert closed_form_pfa(20, 0.3, th) == pytest.approx(want, abs=1e-12)
-        assert closed_form_pd(20, 0.3, th) == pytest.approx(want, abs=1e-12)
+        assert tails[th] == pytest.approx(want, abs=1e-12)
 
 
 def test_tail_at_full_threshold_is_zero():
-    assert closed_form_pfa(10, 0.3, 10) == 0.0
-    assert closed_form_pd(10, 0.9, 10) == 0.0
+    assert tail_vector(10, 0.3)[10] == 0.0
+    assert tail_vector(10, 0.9)[10] == 0.0
 
 
 def test_tail_with_zero_rate_is_zero():
-    assert closed_form_pfa(10, 0.0, 0) == 0.0
+    assert tail_vector(10, 0.0)[0] == 0.0
 
 
 def test_tail_never_exceeds_one():
@@ -142,9 +140,6 @@ def test_tail_never_exceeds_one():
     tails = tail_vector(819, 0.50130)
     assert np.all(tails <= 1.0) and tails[-1] == 0.0
     assert np.all(np.diff(tails) <= 0.0)
-    assert all(closed_form_pd(819, 0.50130, t) <= 1.0 for t in range(820))
-    for t in (0, 300, 409, 819):
-        assert closed_form_pd(819, 0.50130, t) == tails[t]
 
 
 @pytest.mark.parametrize("p", [0.0, 0.001, 0.1, 0.3, 0.5, 0.77, 0.99, 1.0])
@@ -169,8 +164,8 @@ def test_tail_vector_matches_exact_tails_at_high_rate(p):
 def test_detection_hand_value():
     # P(eta > 0) = 1 - (1 - p)^10 with p = 0.4539
     want = 1.0 - (1.0 - 0.4539) ** 10
-    assert closed_form_pd(10, 0.4539, 0) == pytest.approx(want, abs=1e-12)
-    assert closed_form_pd(10, 0.4539, 0) == pytest.approx(0.9976410, abs=1e-6)
+    assert tail_vector(10, 0.4539)[0] == pytest.approx(want, abs=1e-12)
+    assert tail_vector(10, 0.4539)[0] == pytest.approx(0.9976410, abs=1e-6)
 
 
 # -- threshold calibration -------------------------------------------------------
@@ -179,8 +174,8 @@ def test_detection_hand_value():
 def test_calibrated_threshold_hand_case():
     # Binomial(10, 0.1): P(eta > 4) = 1.63e-3 > 1e-3 >= P(eta > 5) = 1.47e-4
     assert calibrate_threshold(10, 0.1, 1e-3) == 5
-    assert closed_form_pfa(10, 0.1, 4) > 1e-3
-    assert closed_form_pfa(10, 0.1, 5) <= 1e-3
+    assert tail_vector(10, 0.1)[4] > 1e-3
+    assert tail_vector(10, 0.1)[5] <= 1e-3
 
 
 def test_calibrated_threshold_is_minimal():
@@ -195,7 +190,7 @@ def test_calibrated_threshold_is_minimal():
     for k_len, p0, target in grid:
         got = calibrate_threshold(k_len, p0, target)
         want = next(
-            t for t in range(k_len + 1) if closed_form_pfa(k_len, p0, t) <= target
+            t for t in range(k_len + 1) if tail_vector(k_len, p0)[t] <= target
         )
         assert got == want
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -9,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import csipla
 from csipla.cli import _build_config, build_parser, main
-from csipla.quantizer import gray_code
 from csipla.sim import ExperimentConfig, Simulator
 
 TINY_INI = """\
@@ -58,7 +59,8 @@ def test_quantizer_lists_gray_labelled_levels(bits, capsys):
     code, out, _ = run_cli(["quantizer", "-n", str(bits)], capsys)
     assert code == 0
     rows = [line for line in out.splitlines() if not line.startswith("#")]
-    assert [r.split()[2] for r in rows] == [gray_code(i, bits) for i in range(1 << bits)]
+    gray = [format(i ^ (i >> 1), f"0{bits}b") for i in range(1 << bits)]
+    assert [r.split()[2] for r in rows] == gray
 
 
 def test_quantizer_requires_bit_width(capsys):
@@ -283,8 +285,9 @@ def test_missing_config_file_rejected(capsys):
     assert code == 2
 
 
-# Each input is rejected when its configuration is built, before any trial
-# runs.  `ini` replaces TINY_INI as the --config file.
+# Each input is rejected before any trial runs or any codebook is designed,
+# most when the configuration is built.  `ini` replaces TINY_INI as the
+# --config file.
 @pytest.mark.parametrize(
     "argv, ini",
     [
@@ -310,6 +313,8 @@ def test_missing_config_file_rejected(capsys):
         (["roc"], "\xff[scenario]\n"),
         (["quantizer", "-n", "0"], None),
         (["quantizer", "-n", "17"], None),
+        (["roc", "--out", "no-such-dir/base"], TINY_INI),
+        (["quantizer", "-n", "2", "--out", "no-such-dir/q.txt"], None),
     ],
     ids=[
         "list_size-0", "quant_bits-3", "rate-K0", "rate-over-N",
@@ -318,7 +323,7 @@ def test_missing_config_file_rejected(capsys):
         "snr_db-minus-inf", "seed-minus1", "index-minus1", "sweep-quant_bits-3",
         "sweep-quant_bits-inf", "sweep-rate-K0", "sweep-snr_db-5000",
         "ini-no-section", "ini-duplicate-key", "ini-not-utf8", "quantizer-n0",
-        "quantizer-n17",
+        "quantizer-n17", "out-missing-dir", "quantizer-out-missing-dir",
     ],
 )
 def test_rejected_input_exits_2(argv, ini, tmp_path, capsys):
@@ -357,10 +362,13 @@ def test_sigma_and_snr_conflict_rejected(tiny_ini, capsys):
 
 
 def test_module_runs_as_script():
+    # The child imports the csipla this test imported, installed or not.
+    src = str(Path(csipla.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "csipla.cli", "quantizer", "-n", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0
     assert len(proc.stdout.splitlines()) == 6

@@ -225,17 +225,24 @@ def test_transform_rejects_bad_input():
 # -- CRC ---------------------------------------------------------------------
 
 
+# The CRC length follows K, so each polynomial is reached through its own
+# payload lengths: CRC-4 below K = 20, CRC-8 from K = 20 on.
+CRC_SIZES = ((CRC4_POLY, (1, 2, 5, 16, 19)), (CRC8_POLY, (20, 40, 819)))
+CRC_CASES = [(k, len(poly) - 1) for poly, sizes in CRC_SIZES for k in sizes]
+
+
 def crc_of(msg, poly):
     """The pipeline's CRC of a payload: one mat-vec mod 2 with the code's matrix."""
-    code = construct_code(2048, msg.size / 2048, crc_len=len(poly) - 1)
+    code = construct_code(2048, msg.size / 2048)
     assert code.k_info == msg.size and np.array_equal(code.crc_poly, poly)
     return (msg @ code.crc_matrix) & 1
 
 
 def test_crc_of_zeros_is_zero():
-    for poly in (CRC4_POLY, CRC8_POLY):
-        msg = np.zeros(16, dtype=np.uint8)
-        assert np.array_equal(crc_of(msg, poly), np.zeros(len(poly) - 1))
+    for poly, sizes in CRC_SIZES:
+        for size in sizes:
+            msg = np.zeros(size, dtype=np.uint8)
+            assert np.array_equal(crc_of(msg, poly), np.zeros(len(poly) - 1))
 
 
 def test_crc_hand_worked_value():
@@ -246,8 +253,8 @@ def test_crc_hand_worked_value():
 
 def test_crc_matches_long_division_oracle():
     rng = np.random.default_rng(3)
-    for poly in (CRC4_POLY, CRC8_POLY):
-        for size in (1, 5, 16, 40):
+    for poly, sizes in CRC_SIZES:
+        for size in sizes:
             for _ in range(20):
                 msg = rng.integers(0, 2, size=size).astype(np.uint8)
                 assert np.array_equal(crc_of(msg, poly), crc_remainder(msg, poly))
@@ -257,7 +264,7 @@ def test_crc_detects_single_bit_errors():
     # x^i mod g never vanishes, and the exponents stay below the order of x,
     # so all single-bit messages map to distinct nonzero remainders: every
     # row of the CRC matrix is nonzero, and these rows are distinct.
-    for poly, length in ((CRC4_POLY, 12), (CRC8_POLY, 16)):
+    for poly, length in ((CRC4_POLY, 12), (CRC8_POLY, 20)):
         seen = set()
         for i in range(length):
             msg = np.zeros(length, dtype=np.uint8)
@@ -266,17 +273,16 @@ def test_crc_detects_single_bit_errors():
             assert any(crc), f"position {i} aliases the zero message"
             seen.add(crc)
         assert len(seen) == length
-    for crc_len in (4, 8):
-        assert construct_code(2048, 0.4, crc_len=crc_len).crc_matrix.any(axis=1).all()
+    for k_info in (19, 819):
+        assert construct_code(2048, k_info / 2048).crc_matrix.any(axis=1).all()
 
 
-@pytest.mark.parametrize("crc_len", [4, 8])
-@pytest.mark.parametrize("k_info", [1, 2, 20, 819])
-def test_crc_matrix_rows_are_unit_message_crcs(crc_len, k_info):
+@pytest.mark.parametrize("k_info, crc_len", CRC_CASES)
+def test_crc_matrix_rows_are_unit_message_crcs(k_info, crc_len):
     # The decoder checks a payload u by (u @ crc_matrix) mod 2, which holds
     # only if row i is the CRC of the i-th unit message.
-    code = construct_code(2048, k_info / 2048, crc_len=crc_len)
-    assert code.k_info == k_info
+    code = construct_code(2048, k_info / 2048)
+    assert (code.k_info, code.crc_len) == (k_info, crc_len)
     want = [crc_remainder(row, code.crc_poly) for row in np.eye(k_info, dtype=np.uint8)]
     assert code.crc_matrix.dtype == np.uint8
     assert np.array_equal(code.crc_matrix, want)
@@ -289,7 +295,7 @@ def test_construct_code_default_shape():
     code = construct_code(1024, 0.01)
     assert code.block_len == 1024
     assert code.k_info == 10
-    assert code.crc_len == 4  # auto rule: short payloads get the 4-bit CRC
+    assert code.crc_len == 4  # short payloads get the 4-bit CRC
     assert code.list_size == 8
 
 
@@ -331,7 +337,7 @@ def test_construct_code_uses_most_reliable_positions():
         {"block_len": 1, "rate": 0.5},
         {"block_len": 64, "rate": 0.001},  # rounds to zero payload bits
         {"block_len": 16, "rate": 0.9},  # payload + CRC exceed the block
-        {"block_len": 64, "rate": 0.1, "crc_len": 6},  # no poly for that length
+        {"block_len": 64, "rate": 1.0},  # rate outside (0, 1)
         {"block_len": 64, "rate": 0.1, "list_size": 0},
     ],
 )
@@ -363,12 +369,11 @@ def test_side_info_structure():
     assert np.array_equal(side.crc_bits, crc_remainder(u[code.info_positions], code.crc_poly))
 
 
-@pytest.mark.parametrize("crc_len", [4, 8])
-@pytest.mark.parametrize("k_info", [1, 20, 819])
-def test_side_info_crc_matches_long_division(crc_len, k_info):
+@pytest.mark.parametrize("k_info, crc_len", CRC_CASES)
+def test_side_info_crc_matches_long_division(k_info, crc_len):
     rng = np.random.default_rng(12)
-    code = construct_code(2048, k_info / 2048, crc_len=crc_len)
-    assert code.k_info == k_info
+    code = construct_code(2048, k_info / 2048)
+    assert (code.k_info, code.crc_len) == (k_info, crc_len)
     for _ in range(5):
         q = rng.integers(0, 2, size=2048).astype(np.uint8)
         r, side = extract_side_info(q, code)
@@ -416,7 +421,7 @@ def test_decode_matches_recursive_reference():
     rng = np.random.default_rng(8)
     cases = [(16, 0.3), (64, 0.3), (64, 0.05), (256, 0.05)]
     for block_len, rate in cases:
-        code = construct_code(block_len, rate, crc_len=4, list_size=1)
+        code = construct_code(block_len, rate, list_size=1)
         pinned = np.full(block_len, -1, dtype=int)
         for _ in range(75):
             q = rng.integers(0, 2, size=block_len).astype(np.uint8)
@@ -438,7 +443,6 @@ def test_decode_matches_recursive_reference():
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     n=st.integers(3, 8),
-    crc_len=st.sampled_from([4, 8]),
     k_frac=st.floats(0.0, 1.0),
     # Below about 1e-308, ln((1 - p) / p) overflows to an infinite LLR.
     channel_p=st.floats(1e-300, 0.5, exclude_max=True),
@@ -447,16 +451,16 @@ def test_decode_matches_recursive_reference():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_list_decode_matches_recursive_reference(
-    n, crc_len, k_frac, channel_p, list_size, flip_p, seed
+    n, k_frac, channel_p, list_size, flip_p, seed
 ):
     # Bits and DecodeDetail agree with the recursive list decoder, while
     # the list grows, fills and prunes.  Examples are derandomized so that
     # every run draws the same ones.
     block_len = 1 << n
-    if crc_len >= block_len:
-        crc_len = 4
-    k_info = 1 + int(k_frac * (block_len - crc_len - 1))
-    code = construct_code(block_len, k_info / block_len, crc_len=crc_len, list_size=list_size)
+    # The largest K whose CRC still fits: CRC-4 below K = 20, CRC-8 from 20.
+    k_max = block_len - 8 if block_len >= 28 else min(19, block_len - 4)
+    k_info = 1 + int(k_frac * (k_max - 1))
+    code = construct_code(block_len, k_info / block_len, list_size=list_size)
     rng = np.random.default_rng(seed)
     q = rng.integers(0, 2, size=block_len).astype(np.uint8)
     _, side = extract_side_info(q, code)
@@ -572,7 +576,7 @@ def test_decode_of_unrelated_vector_looks_like_coin_flips():
 
 def test_crc_arbitration_and_detail_counters():
     rng = np.random.default_rng(11)
-    code = construct_code(256, 0.1, crc_len=8, list_size=2)
+    code = construct_code(256, 0.1, list_size=2)
     passes = 0
     for _ in range(300):
         q = rng.integers(0, 2, size=256).astype(np.uint8)

@@ -8,7 +8,6 @@ import pytest
 from csipla.quantizer import (
     MAX_BITS,
     design_codebook,
-    gray_code,
     level_indices,
     quantize,
 )
@@ -28,32 +27,28 @@ def truncated_gaussian_mean(a, b, mu, sigma):
 # -- Gray labels -----------------------------------------------------------
 
 
+def labels(n_bits):
+    """The designed codebook's Gray labels as strings, MSB first."""
+    return ["".join(map(str, row)) for row in design_codebook(n_bits).label_bits]
+
+
 def test_gray_code_two_bit_sequence():
-    assert [gray_code(i, 2) for i in range(4)] == ["00", "01", "11", "10"]
+    assert labels(2) == ["00", "01", "11", "10"]
 
 
 def test_gray_code_three_bit_sequence():
     want = ["000", "001", "011", "010", "110", "111", "101", "100"]
-    assert [gray_code(i, 3) for i in range(8)] == want
+    assert labels(3) == want
 
 
 @pytest.mark.parametrize("n_bits", range(1, 7))
 def test_gray_code_adjacent_labels_differ_in_one_bit(n_bits):
-    labels = [gray_code(i, n_bits) for i in range(1 << n_bits)]
-    assert len(set(labels)) == 1 << n_bits
-    for a, b in zip(labels, labels[1:]):
+    got = labels(n_bits)
+    assert len(set(got)) == 1 << n_bits
+    for a, b in zip(got, got[1:]):
         assert sum(x != y for x, y in zip(a, b)) == 1
     # reflected construction also closes the cycle
-    assert sum(x != y for x, y in zip(labels[-1], labels[0])) == 1
-
-
-def test_gray_code_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        gray_code(0, 0)
-    with pytest.raises(ValueError):
-        gray_code(4, 2)
-    with pytest.raises(ValueError):
-        gray_code(-1, 2)
+    assert sum(x != y for x, y in zip(got[-1], got[0])) == 1
 
 
 # -- codebook design -------------------------------------------------------
@@ -178,7 +173,12 @@ def test_reconstruct_quantize_is_idempotent():
 
 
 def test_label_bits_match_gray_strings():
-    cb = design_codebook(3)
-    assert cb.label_bits.shape == (8, 3)
-    for i, bits in enumerate(cb.label_bits):
-        assert "".join(map(str, bits)) == gray_code(i, 3)
+    # Oracle: the reflected construction, each width the previous one's
+    # labels behind a 0 and then, in reverse order, behind a 1.
+    want = [""]
+    for n_bits in range(1, 9):
+        want = ["0" + w for w in want] + ["1" + w for w in reversed(want)]
+        cb = design_codebook(n_bits)
+        assert cb.label_bits.shape == (1 << n_bits, n_bits)
+        assert cb.label_bits.dtype == np.uint8
+        assert labels(n_bits) == want

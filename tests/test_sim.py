@@ -141,6 +141,18 @@ def test_run_trial_rejects_unknown_hypothesis():
     assert isinstance(eta, int) and 0 <= eta <= sim.code.k_info
 
 
+def test_unknown_hypothesis_rejected_before_calibrating(monkeypatch):
+    def calibrate(self):
+        raise AssertionError("calibrated before the hypothesis was checked")
+
+    monkeypatch.setattr(Simulator, "calibrate", calibrate)
+    sim = Simulator(tiny_cfg())
+    with pytest.raises(ValueError):
+        sim.run_trial("h2", 0)
+    with pytest.raises(ValueError):
+        sim.run_batch("H0", 3)  # upper case is not H0
+
+
 def test_batches_reproducible_across_instances():
     a = Simulator(tiny_cfg()).run_batch(H0, 12)
     b = Simulator(tiny_cfg()).run_batch(H0, 12)
@@ -194,7 +206,7 @@ def test_enrollment_bits_independent_of_alpha():
     # enrollment bits of any stream.
     def enrolled(alpha):
         sim = Simulator(tiny_cfg(scenario=dataclasses.replace(TINY, alpha=alpha)))
-        return sim._enroll(trial_rng(TINY.rng_seed, 0, 3))[1]
+        return sim._vectors(H0, trial_rng(TINY.rng_seed, 0, 3))[0]
 
     ref = enrolled(0.0)
     for alpha in (0.01, 0.8, 2.0):
