@@ -2,9 +2,9 @@
 
 Channel gains follow a first-order Gauss-Markov process in the slot index,
 so consecutive slots stay correlated while the marginal distribution remains
-complex Gaussian with fixed variance.  Enrollment measurements see only
-receiver noise; authentication measurements additionally pick up weighted
-interference from concurrently transmitting users.  A measurement's float64
+complex Gaussian with fixed variance.  One measurement model serves both
+phases: receiver noise plus weighted interference from the users transmitting
+at the time, none at enrollment and the U interferers at authentication.  A measurement's float64
 view (each gain's real part followed by its imaginary part) is the real
 feature vector that downstream stages quantize.
 """
@@ -133,28 +133,22 @@ def gauss_markov_step(
     return beta * h_prev + math.sqrt(1.0 - beta * beta) * innovation
 
 
-def enrollment_measurement(
-    h_a: np.ndarray, sigma_z2: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Noisy CSI estimate of the legitimate channel, no interference."""
-    return h_a + _complex_gaussian(h_a.size, sigma_z2, rng)
-
-
-def auth_measurement(
+def measurement(
     h_u: np.ndarray,
     interferers: list[np.ndarray],
     alpha: float,
     sigma_z2: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Noisy CSI estimate during authentication.
+    """Noisy CSI estimate of one user's channel while `interferers` transmit.
 
     Parameters
     ----------
     h_u : ndarray
         Channel of the user under test (legitimate or impersonating).
     interferers : list of ndarray
-        Channel vectors of concurrently transmitting users.
+        Channel vectors of concurrently transmitting users; enrollment
+        passes none.
     alpha : float
         Interference weight applied to every interferer's channel.
     """

@@ -1,6 +1,6 @@
 """Command line front end.
 
-Subcommands: `quantizer` (codebook table), `trial` (single traced trial),
+Subcommands: `quantizer` (codebook table), `trial` (one evaluation trial),
 `roc`, `pdf` and `sweep` (CSV experiment outputs).  Configuration comes from
 an INI file plus repeatable `--set key=value` overrides, whose keys are the
 config fields (see `_schema`).  stdout carries only data.  Exit codes: 0
@@ -227,7 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        folder = os.path.dirname(args.out or "")
+        # `quantizer` writes to --out itself; the tables add .csv and .meta.json.
+        out = args.out or ""
+        folder, name = os.path.split(out)
+        if out and (name in ("", ".", "..") or args.command == "quantizer" and os.path.isdir(out)):
+            raise ConfigError(f"--out must name a file, got {args.out!r}")
         if folder and not os.path.isdir(folder):
             raise ConfigError(f"--out directory does not exist: {folder}")
         return args.func(args)

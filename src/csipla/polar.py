@@ -255,7 +255,6 @@ def scl_decode_detail(q_auth, side, code, channel_p):
         cur = stages[s].reshape(-1, 2, half)
         np.multiply(prev[:, 0], prev[:, 1], out=cur[:, 0])
         cur[:, 1] = prev[:, 1]
-    neg_stages = stages * -1.0
     # free_before[i] counts the payload positions below i: a subtree is
     # pinned when the count does not change across it, and its payload
     # columns run from its count at lo to its count at lo + size.
@@ -332,7 +331,7 @@ def scl_decode_detail(q_auth, side, code, channel_p):
         nonlocal pm, payload, pml, bits
         size = 1 << s
         if free_before[lo + size] == free_before[lo]:
-            pm += np.logaddexp(0.0, neg_stages[s, lo : lo + size] * llr).sum(axis=1)
+            pm += np.logaddexp(0.0, -(stages[s, lo : lo + size] * llr)).sum(axis=1)
             return None, stages[s, lo : lo + size]
         if size <= _KERNEL_SIZE:
             pml, bits = pm.tolist(), [[]] * pm.size

@@ -30,9 +30,8 @@ from .authenticator import (
 from .channel import (
     ConfigError,
     ScenarioConfig,
-    auth_measurement,
-    enrollment_measurement,
     gauss_markov_step,
+    measurement,
     sample_channel,
     snr_db_to_sigma_z2,
 )
@@ -42,10 +41,9 @@ from .quantizer import MAX_BITS, design_codebook, quantize
 H0 = "h0"
 H1 = "h1"
 
-# Stream tags for the counter-based seed split; `_TRACE` is the stream of
-# `Simulator.run_trial`.
+# Stream tags for the counter-based seed split.
 _EVAL_H0, _EVAL_H1, _CHANNEL_P, _CAL_H0, _CAL_H1 = range(5)
-_TRACE = 99
+_EVAL_STREAM = {H0: _EVAL_H0, H1: _EVAL_H1}
 
 # The crossover range a run decodes with.  A calibrated estimate is clamped
 # into it, since a measured rate of exactly 0 or >= 0.5 would otherwise
@@ -159,7 +157,7 @@ class Simulator:
         interferers = [
             sample_channel(n, sc.sigma_h2, rng) for _ in range(sc.u_interferers)
         ]
-        q_a = self._quantized(enrollment_measurement(h_a, sc.sigma_z2, rng))
+        q_a = self._quantized(measurement(h_a, [], sc.alpha, sc.sigma_z2, rng))
         # The legitimate chain always advances, whichever hypothesis holds,
         # keeping the H0/H1 random streams aligned draw for draw.
         h_u = gauss_markov_step(h_a, sc.beta, sc.sigma_h2, rng)
@@ -168,14 +166,14 @@ class Simulator:
         ]
         if hypothesis == H1:
             h_u = sample_channel(n, sc.sigma_h2, rng)
-        q_u = self._quantized(auth_measurement(h_u, ints_next, sc.alpha, sc.sigma_z2, rng))
+        q_u = self._quantized(measurement(h_u, ints_next, sc.alpha, sc.sigma_z2, rng))
         return q_a, q_u
 
     def _trial(self, hypothesis, rng) -> int:
         """One end-to-end trial; returns its disagreement statistic eta."""
         q_a, q_u = self._vectors(hypothesis, rng)
         r_a, side = extract_side_info(q_a, self.code)
-        r_u = scl_decode(q_u, side, self.code, self._channel_p())
+        r_u = scl_decode(q_u, side, self.code, self.channel_p)
         return hamming_distance(r_a, r_u)
 
     def _trials(self, hypothesis, stream, n_trials) -> np.ndarray:
@@ -185,30 +183,23 @@ class Simulator:
 
     # -- calibration -----------------------------------------------------
 
-    def _channel_p(self) -> float:
-        if self.channel_p is None:
-            cfg = self.cfg
-            if cfg.channel_p_override is not None:
-                self.channel_p = cfg.channel_p_override
-            else:
-                # Quantize-only pass: mean flip rate between consecutive-slot
-                # legitimate vectors, no decoding involved.
-                total = 0.0
-                pairs = cfg.calibration_trials
-                for i in range(pairs):
-                    rng = trial_rng(cfg.scenario.rng_seed, _CHANNEL_P, i)
-                    q_a, q_next = self._vectors(H0, rng)
-                    total += float(np.mean(q_a != q_next))
-                self.channel_p = min(max(total / pairs, _CHANNEL_P_MIN), _CHANNEL_P_MAX)
-        return self.channel_p
-
     def calibrate(self):
-        """Estimate p0, p1 and the threshold from seeded decode batches."""
+        """Set the crossover, then fit p0, p1 and the threshold on seeded batches."""
         if self.eta_th is not None:
             return
         cfg = self.cfg
         k = self.code.k_info
         n_cal = cfg.calibration_trials
+        if cfg.channel_p_override is not None:
+            self.channel_p = cfg.channel_p_override
+        else:
+            # Quantize-only pass: mean flip rate between consecutive-slot
+            # legitimate vectors, no decoding involved.
+            total = 0.0
+            for i in range(n_cal):
+                q_a, q_next = self._vectors(H0, trial_rng(cfg.scenario.rng_seed, _CHANNEL_P, i))
+                total += float(np.mean(q_a != q_next))
+            self.channel_p = min(max(total / n_cal, _CHANNEL_P_MIN), _CHANNEL_P_MAX)
         for hyp, stream in ((H0, _CAL_H0), (H1, _CAL_H1)):
             self._cal_etas[hyp] = self._trials(hyp, stream, n_cal)
         # Mean per-bit disagreement, pooling all payload bits of the batch.
@@ -224,17 +215,18 @@ class Simulator:
     # -- experiment surfaces ----------------------------------------------
 
     def run_trial(self, hypothesis: str, index: int) -> int:
-        """Disagreement statistic of trial `index` of the traced-trial stream."""
+        """Disagreement statistic of evaluation trial `index`, the trial at
+        that index of every `run_batch` long enough to hold it."""
         _check_hypothesis(hypothesis)
         self.calibrate()
-        return self._trial(hypothesis, trial_rng(self.cfg.scenario.rng_seed, _TRACE, index))
+        rng = trial_rng(self.cfg.scenario.rng_seed, _EVAL_STREAM[hypothesis], index)
+        return self._trial(hypothesis, rng)
 
     def run_batch(self, hypothesis: str, n_trials: int) -> np.ndarray:
-        """Disagreement statistics for n_trials independent evaluation trials."""
+        """Disagreement statistics of evaluation trials 0..n_trials-1."""
         _check_hypothesis(hypothesis)
         self.calibrate()
-        stream = _EVAL_H0 if hypothesis == H0 else _EVAL_H1
-        return self._trials(hypothesis, stream, n_trials)
+        return self._trials(hypothesis, _EVAL_STREAM[hypothesis], n_trials)
 
     def _eval_batches(self, trials):
         """H0 and H1 evaluation statistics, `trials` (default cfg.trials) each."""

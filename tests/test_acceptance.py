@@ -33,6 +33,8 @@ from csipla.polar import (
 from csipla.quantizer import design_codebook
 from csipla.sim import H0, H1, ExperimentConfig, Simulator, render_csv, sweep
 
+pytestmark = pytest.mark.acceptance
+
 
 class ClauseRecorder:
     """Echo clause verdicts to the live terminal and tally them."""
@@ -207,7 +209,7 @@ def test_c6_numerical_property_suite(report):
         ok &= len(set(labels)) == 1 << n_bits
         ok &= all(
             sum(x != y for x, y in zip(a, b)) == 1
-            for a, b in zip(labels, labels[1:])
+            for a, b in zip(labels, labels[1:] + labels[:1])
         )
     report("C6 Gray labels adjacent for widths 1..6", ok, "wraparound included")
 

@@ -6,9 +6,8 @@ import pytest
 from csipla.channel import (
     ConfigError,
     ScenarioConfig,
-    auth_measurement,
-    enrollment_measurement,
     gauss_markov_step,
+    measurement,
     sample_channel,
     sigma_z2_to_snr_db,
     snr_db_to_sigma_z2,
@@ -89,34 +88,28 @@ def test_gauss_markov_rejects_invalid_beta(beta):
 
 def test_enrollment_noiseless_returns_channel():
     h = sample_channel(128, 1.0, rng(12))
-    assert np.array_equal(enrollment_measurement(h, 0.0, rng(13)), h)
+    assert np.array_equal(measurement(h, [], 0.5, 0.0, rng(13)), h)
 
 
 def test_enrollment_noise_power():
     h = sample_channel(200_000, 1.0, rng(14))
-    y = enrollment_measurement(h, 0.25, rng(15))
+    y = measurement(h, [], 0.5, 0.25, rng(15))
     assert np.mean(np.abs(y - h) ** 2) == pytest.approx(0.25, abs=0.01)
 
 
 def test_auth_without_interference_matches_enrollment():
-    # alpha = 0 must reduce to the enrollment model draw for draw.
+    # alpha = 0 must reduce to the enrollment model, which has no
+    # interferers for any alpha to weight, draw for draw.
     h = sample_channel(128, 1.0, rng(16))
     ints = [sample_channel(128, 1.0, rng(17)) for _ in range(3)]
-    y_auth = auth_measurement(h, ints, 0.0, 0.1, rng(42))
-    y_enr = enrollment_measurement(h, 0.1, rng(42))
-    assert np.array_equal(y_auth, y_enr)
-
-
-def test_auth_no_interferers_matches_enrollment():
-    h = sample_channel(128, 1.0, rng(18))
-    y_auth = auth_measurement(h, [], 0.5, 0.1, rng(43))
-    y_enr = enrollment_measurement(h, 0.1, rng(43))
+    y_auth = measurement(h, ints, 0.0, 0.1, rng(42))
+    y_enr = measurement(h, [], 0.5, 0.1, rng(42))
     assert np.array_equal(y_auth, y_enr)
 
 
 def test_auth_unit_weight_superposition():
     h = sample_channel(64, 1.0, rng(19))
-    y = auth_measurement(h, [h], 1.0, 0.0, rng(20))
+    y = measurement(h, [h], 1.0, 0.0, rng(20))
     assert np.allclose(y, 2.0 * h)
 
 
@@ -125,7 +118,7 @@ def test_auth_interference_power():
     n, alpha, u = 200_000, 0.5, 3
     h = sample_channel(n, 1.0, rng(21))
     ints = [sample_channel(n, 1.0, rng(22 + i)) for i in range(u)]
-    y = auth_measurement(h, ints, alpha, 0.0, rng(25))
+    y = measurement(h, ints, alpha, 0.0, rng(25))
     assert np.mean(np.abs(y - h) ** 2) == pytest.approx(u * alpha**2, abs=0.02)
 
 
@@ -133,7 +126,7 @@ def test_auth_rejects_mismatched_interferer_length():
     h = sample_channel(64, 1.0, rng(30))
     bad = sample_channel(32, 1.0, rng(31))
     with pytest.raises(ValueError):
-        auth_measurement(h, [bad], 0.1, 0.0, rng(32))
+        measurement(h, [bad], 0.1, 0.0, rng(32))
 
 
 # -- SNR bookkeeping ------------------------------------------------------

@@ -201,7 +201,7 @@ PINNED = {
     ),
     "trial-h1-3": (
         ["trial", "--hypothesis", "h1", "--index", "3"], True,
-        "eb13cac3f04e01d8c1029e74983e8c37b6f5e073210e161c8bb03cdeebc1248f",
+        "d66717cefe1946fcb4d4f57bf609da70e4d444066298c8cac485617a086699eb",
     ),
     "roc-default": (
         ["roc", "--trials", "200"] + _CAL200, False,
@@ -335,6 +335,27 @@ def test_rejected_input_exits_2(argv, ini, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "config error" in err
+
+
+# An --out that names no file: a directory for `quantizer`, which writes to
+# --out itself, and a path ending in a separator or a dot for the tables,
+# which would otherwise write hidden files such as DIR/.csv.
+@pytest.mark.parametrize(
+    "argv, suffix",
+    [(["quantizer", "-n", "1"], ""), (["roc"], os.sep), (["roc"], os.sep + ".")],
+    ids=["quantizer-out-dir", "roc-out-dir-slash", "roc-out-dir-dot"],
+)
+def test_out_naming_no_file_exits_2(argv, suffix, tiny_ini, tmp_path, capsys):
+    folder = tmp_path / "results"
+    folder.mkdir()
+    argv = argv + ["--out", str(folder) + suffix]
+    if argv[0] != "quantizer":
+        argv += ["--config", tiny_ini]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "config error" in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["results", "tiny.ini"]
 
 
 def test_internal_fault_exits_1_with_traceback(tiny_ini, capsys, monkeypatch):

@@ -502,7 +502,8 @@ def test_list_decode_matches_recursive_reference_on_simulator_trials(
     )
     simulator = sim.Simulator(cfg)
     assert simulator.code.list_size == list_size
-    channel_p = simulator._channel_p()
+    simulator.calibrate()
+    channel_p = simulator.channel_p
     monkeypatch.setattr(sim, "scl_decode", recording)
     for hypothesis, stream in ((sim.H0, 0), (sim.H1, 1)):
         simulator._trials(hypothesis, stream, 10)

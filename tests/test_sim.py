@@ -141,6 +141,32 @@ def test_run_trial_rejects_unknown_hypothesis():
     assert isinstance(eta, int) and 0 <= eta <= sim.code.k_info
 
 
+@pytest.mark.parametrize("hypothesis", [H0, H1])
+def test_run_trial_is_the_evaluation_trial_of_that_index(hypothesis):
+    sim = Simulator(tiny_cfg())
+    batch = sim.run_batch(hypothesis, 6)
+    assert [sim.run_trial(hypothesis, i) for i in range(6)] == batch.tolist()
+    assert sim.run_trial(hypothesis, 4) == sim.run_batch(hypothesis, 5)[4]
+
+
+@pytest.mark.parametrize("override, passes", [(0.2, 2), (None, 3)])
+def test_calibrate_draws_a_crossover_pass_only_without_override(override, passes, monkeypatch):
+    # Each calibration batch draws n trials' vectors; the quantize-only
+    # crossover pass draws n more, and an override skips it.
+    calls = []
+    vectors = Simulator._vectors
+
+    def counting(self, hypothesis, rng):
+        calls.append(hypothesis)
+        return vectors(self, hypothesis, rng)
+
+    monkeypatch.setattr(Simulator, "_vectors", counting)
+    sim = Simulator(tiny_cfg(channel_p_override=override, calibration_trials=7))
+    sim.calibrate()
+    assert len(calls) == passes * 7
+    assert sim.channel_p is not None
+
+
 def test_unknown_hypothesis_rejected_before_calibrating(monkeypatch):
     def calibrate(self):
         raise AssertionError("calibrated before the hypothesis was checked")
