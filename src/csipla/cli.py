@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_table.set_defaults(func=_cmd_table)
 
     p_sweep = subs.add_parser("sweep", help="recalibrated sweep over one parameter")
-    _add_common(p_sweep)
+    _add_common(p_sweep, trials_flag=False)
     p_sweep.add_argument("--param", required=True, choices=list(SWEEP_PARAMETERS))
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated parameter values")

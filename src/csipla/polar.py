@@ -61,11 +61,7 @@ def _as_bits(values) -> np.ndarray:
     """`values` as uint8, refusing any value but 0 and 1 whatever the dtype
     (a bare cast would turn 0.9 into 0 and -1 into 255)."""
     arr = np.asarray(values)
-    if arr.dtype == np.uint8:
-        binary = arr.size == 0 or arr.max() <= 1
-    else:
-        binary = bool(np.all((arr == 0) | (arr == 1)))
-    if not binary:
+    if not np.all((arr == 0) | (arr == 1)):
         raise ValueError("bits must be 0/1 valued")
     return arr.astype(np.uint8, copy=False)
 
@@ -78,7 +74,7 @@ def polar_transform(bits: np.ndarray) -> np.ndarray:
     """
     x = _as_bits(bits).copy()
     n = x.shape[-1]
-    if n & (n - 1):
+    if n < 1 or n & (n - 1):
         raise ValueError(f"transform length must be a power of two, got {n}")
     step = 1
     while step < n:
@@ -140,7 +136,7 @@ def code_dimensions(block_len: int, rate: float):
     return k_info, crc_len
 
 
-def construct_code(block_len: int, rate: float, list_size: int = 8) -> PolarCode:
+def construct_code(block_len: int, rate: float, list_size: int) -> PolarCode:
     """Build the code for a payload rate; see :func:`code_dimensions`."""
     if list_size < 1:
         raise ValueError("list_size must be >= 1")
@@ -193,15 +189,6 @@ def extract_side_info(q_enroll: np.ndarray, code: PolarCode):
     return r, side
 
 
-@dataclass(frozen=True)
-class DecodeDetail:
-    """List-decoder outcome beyond the returned bits (for diagnostics)."""
-
-    selected_passed_crc: bool
-    crc_pass_count: int
-    path_count: int
-
-
 def scl_decode(
     q_auth: np.ndarray, side: SideInfo, code: PolarCode, channel_p: float
 ) -> np.ndarray:
@@ -226,7 +213,8 @@ _KERNEL_SIZE = 8
 
 
 def scl_decode_detail(q_auth, side, code, channel_p):
-    """Like :func:`scl_decode` but also returns a :class:`DecodeDetail`."""
+    """(bits, crc_pass_count): :func:`scl_decode`'s bits and how many surviving
+    paths pass the CRC.  The selected path passes whenever any path does."""
     if not 0.0 < channel_p < 0.5:
         raise ValueError(f"channel_p must lie strictly inside (0, 0.5), got {channel_p}")
     q = _as_bits(q_auth)
@@ -372,8 +360,5 @@ def scl_decode_detail(q_auth, side, code, channel_p):
     # uint8 sums wrap modulo 256, which keeps their parity.
     crcs = (payload @ code.crc_matrix) & 1
     passed = np.all(crcs == side.crc_bits, axis=1)
-    pass_count = int(passed.sum())
-    for rank in order:
-        if passed[rank]:
-            return payload[rank].copy(), DecodeDetail(True, pass_count, pm.size)
-    return payload[order[0]].copy(), DecodeDetail(False, pass_count, pm.size)
+    best = next((rank for rank in order if passed[rank]), order[0])
+    return payload[best].copy(), int(passed.sum())

@@ -225,6 +225,8 @@ class Simulator:
     def run_batch(self, hypothesis: str, n_trials: int) -> np.ndarray:
         """Disagreement statistics of evaluation trials 0..n_trials-1."""
         _check_hypothesis(hypothesis)
+        if n_trials < 1:
+            raise ValueError(f"n_trials must be >= 1, got {n_trials}")
         self.calibrate()
         return self._trials(hypothesis, _EVAL_STREAM[hypothesis], n_trials)
 
@@ -352,7 +354,6 @@ def sweep(cfg: ExperimentConfig, parameter: str, values):
     rows = []
     for value, sub_cfg in zip(values, cfgs):
         sub = Simulator(sub_cfg)
-        sub.calibrate()
         row = {"parameter": parameter, "value": value}
         row.update(sub.summary())
         row["trials"] = sub.cfg.calibration_trials

@@ -152,6 +152,14 @@ def test_sweep_over_beta(tiny_ini, capsys):
     assert len(rows) == 2
 
 
+def test_sweep_takes_no_trials_flag(tiny_ini):
+    # Sweep rows come from the calibration batches; a trial count would change nothing.
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--config", tiny_ini, "--param", "beta", "--values", "0.5",
+              "--trials", "5"])
+    assert err.value.code == 2
+
+
 def test_sweep_rejects_unknown_parameter(capsys):
     with pytest.raises(SystemExit) as err:
         main(["sweep", "--param", "bandwidth", "--values", "1"])

@@ -179,6 +179,19 @@ def test_unknown_hypothesis_rejected_before_calibrating(monkeypatch):
         sim.run_batch("H0", 3)  # upper case is not H0
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_trial_counts_below_one_rejected_before_calibrating(monkeypatch, n):
+    # The tables take their count from run_batch, so they inherit its check.
+    def calibrate(self):
+        raise AssertionError("calibrated before the trial count was checked")
+
+    monkeypatch.setattr(Simulator, "calibrate", calibrate)
+    sim = Simulator(tiny_cfg())
+    for call in (lambda: sim.run_batch(H0, n), lambda: sim.roc_table(n), lambda: sim.pdf_table(n)):
+        with pytest.raises(ValueError, match="n_trials"):
+            call()
+
+
 def test_batches_reproducible_across_instances():
     a = Simulator(tiny_cfg()).run_batch(H0, 12)
     b = Simulator(tiny_cfg()).run_batch(H0, 12)
