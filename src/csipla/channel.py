@@ -89,6 +89,16 @@ class ScenarioConfig:
             raise ConfigError("alpha must be non-negative and finite")
         if self.m_samples < 1:
             raise ConfigError("m_samples must be >= 1")
+        # Each phase is quantized in units of its RMS, the root of a mean of
+        # n_features squares.  So the enrollment power (no interference) must
+        # stay far above float underflow, and the authentication power times
+        # n_features, with a 100x margin for the draws, below overflow
+        # (alpha * alpha overflows to inf, where alpha**2 would raise).
+        if not self.sigma_h2 + self.sigma_z2 >= 1e-290:
+            raise ConfigError("sigma_h2 + sigma_z2 must be >= 1e-290")
+        auth = self.sigma_h2 * (1.0 + self.u_interferers * self.alpha * self.alpha) + self.sigma_z2
+        if not math.isfinite(100.0 * self.n_features * auth):
+            raise ConfigError("sigma_h2 * (1 + u_interferers * alpha^2) + sigma_z2 is too large")
         if self.rng_seed < 0:
             raise ConfigError("rng_seed must be >= 0")
 

@@ -2,70 +2,44 @@
 
 Subcommands: `quantizer` (codebook table), `trial` (one evaluation trial),
 `roc`, `pdf` and `sweep` (CSV experiment outputs).  Configuration comes from
-an INI file plus repeatable `--set key=value` overrides, whose keys are the
-config fields (see `_schema`).  stdout carries only data.  Exit codes: 0
-success; 2 a usage error or a rejected configuration (a `ConfigError`),
-reported on stderr before any trial runs; 1 any other failure, with its
-traceback on stderr.
+an INI file plus repeatable `--set key=value` overrides; `sim.CONFIG_KEYS`
+names the keys and `sim.configure` applies them.  stdout carries only data.
+Exit codes: 0 success; 2 a usage error or a rejected configuration (a
+`ConfigError`), reported on stderr before any trial runs; 1 any other
+failure, with its traceback on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
 import os
 import sys
 import traceback
-import typing
 
-from .channel import ConfigError, ScenarioConfig, snr_db_to_sigma_z2
+from .channel import ConfigError
 from .quantizer import MAX_BITS, design_codebook, dump_codebook
 from .sim import (
+    CONFIG_KEYS,
     H0,
     H1,
     SWEEP_PARAMETERS,
     ExperimentConfig,
     Simulator,
+    configure,
     render_csv,
     sweep,
     write_results,
 )
 
-# Config keys of the fields whose key is not the field name.
-_RENAMED = {"rng_seed": "seed", "channel_p_override": "channel_p"}
-
-
-def _schema() -> dict:
-    """{key: (owning class, field name, INI section, converter)}.
-
-    A key is a field of `ScenarioConfig` or `ExperimentConfig`, renamed by
-    `_RENAMED`, in the section its metadata names and converted by its type
-    (T for `T | None`).  `snr_db` may replace `sigma_z2`; `_build_config`
-    resolves it.
-    """
-    schema = {}
-    for cls in (ScenarioConfig, ExperimentConfig):
-        hints = typing.get_type_hints(cls)
-        for f in dataclasses.fields(cls):
-            if f.name != "scenario":
-                conv = (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
-                section = f.metadata.get("section", "scenario")
-                schema[_RENAMED.get(f.name, f.name)] = (cls, f.name, section, conv)
-    schema["snr_db"] = schema["sigma_z2"]
-    return schema
-
-
-_SCHEMA = _schema()
-
 
 def _convert(key: str, raw: str, section: str | None = None):
     """The value of one config entry; a file entry's section is checked too."""
-    if key not in _SCHEMA:
+    if key not in CONFIG_KEYS:
         raise ConfigError(
-            f"unknown config key '{key}'; valid keys: " + ", ".join(sorted(_SCHEMA))
+            f"unknown config key '{key}'; valid keys: " + ", ".join(sorted(CONFIG_KEYS))
         )
-    expected, conv = _SCHEMA[key][2:]
+    expected, conv = CONFIG_KEYS[key][2:]
     if section is not None and section != expected:
         raise ConfigError(
             f"key '{key}' belongs in section [{expected}], found in [{section}]"
@@ -85,6 +59,9 @@ def _read_config_file(path: str) -> dict:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file: {path}")
+    if parser.defaults():
+        # configparser would copy these keys into every section.
+        raise ConfigError(f"{path}: keys under [DEFAULT] are not accepted")
     return {key: _convert(key, raw, section) for section, key, raw in entries}
 
 
@@ -95,23 +72,7 @@ def _build_config(args) -> ExperimentConfig:
         if not eq:
             raise ConfigError(f"--set expects key=value, got '{pair}'")
         values[key.strip()] = _convert(key.strip(), raw)
-    for key in ("seed", "trials"):
-        if getattr(args, key, None) is not None:
-            values[key] = getattr(args, key)
-
-    if "snr_db" in values:
-        if "sigma_z2" in values:
-            raise ConfigError("specify either sigma_z2 or snr_db, not both")
-        sigma_h2 = values.get("sigma_h2", ScenarioConfig.sigma_h2)
-        values["sigma_z2"] = snr_db_to_sigma_z2(values.pop("snr_db"), sigma_h2)
-
-    kwargs = {ScenarioConfig: {}, ExperimentConfig: {}}
-    for key, value in values.items():
-        cls, name = _SCHEMA[key][:2]
-        kwargs[cls][name] = value
-    return ExperimentConfig(
-        scenario=ScenarioConfig(**kwargs[ScenarioConfig]), **kwargs[ExperimentConfig]
-    )
+    return configure(ExperimentConfig(), values)
 
 
 def _emit(args, rows, metadata) -> None:
@@ -161,7 +122,7 @@ def _cmd_table(args) -> int:
     """`roc` or `pdf`: the Simulator table of the same name."""
     cfg = _build_config(args)
     sim = Simulator(cfg)
-    rows = getattr(sim, f"{args.command}_table")(cfg.trials)
+    rows = getattr(sim, f"{args.command}_table")()
     _emit(args, rows, sim.metadata())
     return 0
 
@@ -179,14 +140,11 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _add_common(sub, trials_flag=True):
+def _add_common(sub):
     sub.add_argument("--config", help="INI config file")
-    sub.add_argument("--seed", type=int, help="master seed override")
     sub.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override a config key (repeatable)")
     sub.add_argument("--out", help="output basename (.csv and .meta.json)")
-    if trials_flag:
-        sub.add_argument("--trials", type=int, help="trials per hypothesis")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_quant.set_defaults(func=_cmd_quantizer)
 
     p_trial = subs.add_parser("trial", help="trace one authentication trial")
-    _add_common(p_trial, trials_flag=False)
+    _add_common(p_trial)
     p_trial.add_argument("--hypothesis", choices=[H0, H1], default=H0)
     p_trial.add_argument("--index", type=int, default=0, help="trial counter")
     p_trial.set_defaults(func=_cmd_trial)
@@ -216,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_table.set_defaults(func=_cmd_table)
 
     p_sweep = subs.add_parser("sweep", help="recalibrated sweep over one parameter")
-    _add_common(p_sweep, trials_flag=False)
+    _add_common(p_sweep)
     p_sweep.add_argument("--param", required=True, choices=list(SWEEP_PARAMETERS))
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated parameter values")

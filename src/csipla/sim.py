@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +95,53 @@ class ExperimentConfig:
     @property
     def block_len(self) -> int:
         return self.quant_bits * self.scenario.n_features
+
+
+def _config_keys() -> dict:
+    """{key: (owning class, field name, INI section, type)}.
+
+    A key is a field of `ScenarioConfig` or `ExperimentConfig`, named by the
+    field unless renamed below, in the section its metadata names, of its
+    type (T for `T | None`).  `snr_db` may replace `sigma_z2`.
+    """
+    renamed = {"rng_seed": "seed", "channel_p_override": "channel_p"}
+    keys = {}
+    for cls in (ScenarioConfig, ExperimentConfig):
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            if f.name != "scenario":
+                kind = (typing.get_args(hints[f.name]) or (hints[f.name],))[0]
+                section = f.metadata.get("section", "scenario")
+                keys[renamed.get(f.name, f.name)] = (cls, f.name, section, kind)
+    keys["snr_db"] = keys["sigma_z2"]
+    return keys
+
+
+CONFIG_KEYS = _config_keys()
+
+
+def configure(cfg: ExperimentConfig, values: dict) -> ExperimentConfig:
+    """`cfg` with each config key of `values` set, checked as it is built.
+
+    `snr_db` sets `sigma_z2` at the resulting `sigma_h2`, and an int key
+    takes only an integral value; both raise :class:`ConfigError`.
+    """
+    values = dict(values)
+    if "snr_db" in values:
+        if "sigma_z2" in values:
+            raise ConfigError("specify either sigma_z2 or snr_db, not both")
+        sigma_h2 = values.get("sigma_h2", cfg.scenario.sigma_h2)
+        values["sigma_z2"] = snr_db_to_sigma_z2(values.pop("snr_db"), sigma_h2)
+    fields = {ScenarioConfig: {}, ExperimentConfig: {}}
+    for key, value in values.items():
+        cls, name, _, kind = CONFIG_KEYS[key]
+        if kind is int and not isinstance(value, int):
+            if not float(value).is_integer():
+                raise ConfigError(f"{key} must be an integer, got {value}")
+            value = int(value)
+        fields[cls][name] = value
+    scenario = dataclasses.replace(cfg.scenario, **fields[ScenarioConfig])
+    return dataclasses.replace(cfg, scenario=scenario, **fields[ExperimentConfig])
 
 
 def _check_hypothesis(hypothesis: str) -> None:
@@ -297,49 +345,15 @@ class Simulator:
 
 
 def _config_metadata(cfg: ExperimentConfig) -> dict:
-    """Metadata of a configuration; K and the CRC length follow the code rule."""
+    """Every config key's value but the `snr_db` alias and `channel_p`, and
+    the values derived from them; K and the CRC length follow the code rule."""
     sc = cfg.scenario
-    k_info, crc_len = code_dimensions(cfg.block_len, cfg.code_rate)
-    return {
-        "schema": 1,
-        "version": f"csipla-{__version__}",
-        "n_b": sc.n_b,
-        "beta": sc.beta,
-        "sigma_h2": sc.sigma_h2,
-        "sigma_z2": sc.sigma_z2,
-        "snr_db": sc.snr_db if sc.sigma_z2 > 0 else None,
-        "u_interferers": sc.u_interferers,
-        "alpha": sc.alpha,
-        "m_samples": sc.m_samples,
-        "seed": sc.rng_seed,
-        "quant_bits": cfg.quant_bits,
-        "code_rate": cfg.code_rate,
-        "block_len": cfg.block_len,
-        "k_info": k_info,
-        "crc_len": crc_len,
-        "list_size": cfg.list_size,
-        "target_pfa": cfg.target_pfa,
-        "trials": cfg.trials,
-        "calibration_trials": cfg.calibration_trials,
-    }
-
-
-def _apply_sweep_value(cfg: ExperimentConfig, parameter: str, value) -> ExperimentConfig:
-    if parameter not in SWEEP_PARAMETERS:
-        raise ConfigError(
-            f"unknown sweep parameter {parameter!r}; valid: {', '.join(SWEEP_PARAMETERS)}"
-        )
-    sc = cfg.scenario
-    if parameter == "snr_db":
-        parameter, value = "sigma_z2", snr_db_to_sigma_z2(value, sc.sigma_h2)
-    elif parameter == "quant_bits":
-        if not float(value).is_integer():
-            raise ConfigError(f"quant_bits sweep values must be integers, got {value}")
-        value = int(value)
-    # The class that owns the field takes the value.
-    if hasattr(sc, parameter):
-        return dataclasses.replace(cfg, scenario=dataclasses.replace(sc, **{parameter: value}))
-    return dataclasses.replace(cfg, **{parameter: value})
+    meta = {key: getattr(sc if cls is ScenarioConfig else cfg, name)
+            for key, (cls, name, _, _) in CONFIG_KEYS.items() if key not in ("snr_db", "channel_p")}
+    meta["k_info"], meta["crc_len"] = code_dimensions(cfg.block_len, cfg.code_rate)
+    meta.update(schema=1, version=f"csipla-{__version__}", block_len=cfg.block_len,
+                snr_db=sc.snr_db if sc.sigma_z2 > 0 else None)
+    return meta
 
 
 def sweep(cfg: ExperimentConfig, parameter: str, values):
@@ -348,7 +362,11 @@ def sweep(cfg: ExperimentConfig, parameter: str, values):
     Every value's configuration is built, so a bad value raises
     :class:`ConfigError`, before the first value is simulated.
     """
-    cfgs = [_apply_sweep_value(cfg, parameter, value) for value in values]
+    if parameter not in SWEEP_PARAMETERS:
+        raise ConfigError(
+            f"unknown sweep parameter {parameter!r}; valid: {', '.join(SWEEP_PARAMETERS)}"
+        )
+    cfgs = [configure(cfg, {parameter: value}) for value in values]
     meta = _config_metadata(cfg)
     meta["sweep_parameter"] = parameter
     rows = []

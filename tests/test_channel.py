@@ -173,8 +173,22 @@ def test_scenario_defaults():
         {"sigma_z2": float("inf")},
         {"sigma_h2": float("inf")},
         {"alpha": float("nan")},
+        # measurement powers whose mean square overflows or vanishes
+        {"alpha": 1e300},
+        {"sigma_z2": 1e308},
+        {"sigma_h2": 5e-324, "sigma_z2": 0.0},
     ],
 )
 def test_scenario_rejects_invalid(kwargs):
     with pytest.raises(ConfigError):
         ScenarioConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"sigma_h2": 1e-320}, {"u_interferers": 0, "alpha": 1e300}, {"sigma_z2": 0.0}],
+)
+def test_scenario_accepts_representable_powers(kwargs):
+    # Receiver noise keeps a subnormal channel power measurable, and the
+    # interference weight scales no one when no interferer transmits.
+    ScenarioConfig(**kwargs)

@@ -101,7 +101,7 @@ def test_trial_accepts_snr_override(tiny_ini, capsys):
 
 
 def test_roc_emits_schema_and_threshold_rows(tiny_ini, capsys):
-    code, out, _ = run_cli(["roc", "--config", tiny_ini, "--trials", "25"], capsys)
+    code, out, _ = run_cli(["roc", "--config", tiny_ini, "--set", "trials=25"], capsys)
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "# schema=1"
@@ -120,7 +120,7 @@ def test_roc_reruns_byte_identical(tiny_ini, capsys):
 def test_roc_writes_output_files(tiny_ini, tmp_path, capsys):
     base = str(tmp_path / "roc")
     code, out, _ = run_cli(
-        ["roc", "--config", tiny_ini, "--trials", "10", "--out", base], capsys
+        ["roc", "--config", tiny_ini, "--set", "trials=10", "--out", base], capsys
     )
     assert code == 0
     assert (tmp_path / "roc.csv").read_text().startswith("# schema=1")
@@ -132,7 +132,7 @@ def test_roc_writes_output_files(tiny_ini, tmp_path, capsys):
 
 
 def test_pdf_histogram_counts_sum_to_trials(tiny_ini, capsys):
-    code, out, _ = run_cli(["pdf", "--config", tiny_ini, "--trials", "20"], capsys)
+    code, out, _ = run_cli(["pdf", "--config", tiny_ini, "--set", "trials=20"], capsys)
     assert code == 0
     rows = [line.split(",") for line in out.splitlines()[3:]]
     assert sum(int(r[1]) for r in rows) == 20
@@ -152,11 +152,15 @@ def test_sweep_over_beta(tiny_ini, capsys):
     assert len(rows) == 2
 
 
-def test_sweep_takes_no_trials_flag(tiny_ini):
-    # Sweep rows come from the calibration batches; a trial count would change nothing.
+# `--set seed=N` and `--set trials=N` are the one spelling of either setting.
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--trials", "5"]], ids=["seed", "trials"])
+@pytest.mark.parametrize("command", ["trial", "roc", "pdf", "sweep"])
+def test_no_seed_or_trials_flag(command, flag, tiny_ini):
+    argv = [command, "--config", tiny_ini]
+    if command == "sweep":
+        argv += ["--param", "beta", "--values", "0.5"]
     with pytest.raises(SystemExit) as err:
-        main(["sweep", "--config", tiny_ini, "--param", "beta", "--values", "0.5",
-              "--trials", "5"])
+        main(argv + flag)
     assert err.value.code == 2
 
 
@@ -212,11 +216,11 @@ PINNED = {
         "d66717cefe1946fcb4d4f57bf609da70e4d444066298c8cac485617a086699eb",
     ),
     "roc-default": (
-        ["roc", "--trials", "200"] + _CAL200, False,
+        ["roc", "--set", "trials=200"] + _CAL200, False,
         "66d338c303d6ca57a78edd641f3b52b44fa07c1aece839a51302a29130a0db19",
     ),
     "pdf-default": (
-        ["pdf", "--trials", "200"] + _CAL200, False,
+        ["pdf", "--set", "trials=200"] + _CAL200, False,
         "a9914987767d7bba657e76118c4a84a6853b336e61ad6290788a92633a6b819f",
     ),
     "sweep-default": (
@@ -244,7 +248,7 @@ def test_output_bytes_are_pinned(case, tiny_ini, capsys):
 
 
 def test_zero_trials_rejected(tiny_ini, capsys):
-    code, _, err = run_cli(["roc", "--config", tiny_ini, "--trials", "0"], capsys)
+    code, _, err = run_cli(["roc", "--config", tiny_ini, "--set", "trials=0"], capsys)
     assert code == 2
     assert "config error" in err
 
@@ -310,7 +314,10 @@ def test_missing_config_file_rejected(capsys):
         (["roc", "--set", "sigma_z2=inf"], TINY_INI),
         (["roc", "--set", "alpha=nan"], TINY_INI),
         (["roc", "--set", "snr_db=-inf"], TINY_INI),
-        (["roc", "--seed", "-1"], TINY_INI),
+        (["roc", "--set", "alpha=1e300"], TINY_INI),
+        (["roc", "--set", "sigma_z2=1e308"], TINY_INI),
+        (["roc", "--set", "sigma_h2=5e-324", "--set", "sigma_z2=0"], TINY_INI),
+        (["roc", "--set", "seed=-1"], TINY_INI),
         (["trial", "--index", "-1"], TINY_INI),
         (["sweep", "--param", "quant_bits", "--values", "1,3"], TINY_INI),
         (["sweep", "--param", "quant_bits", "--values", "inf"], TINY_INI),
@@ -319,6 +326,7 @@ def test_missing_config_file_rejected(capsys):
         (["roc"], "n_b = 8\n"),
         (["roc"], "[scenario]\nn_b = 8\nn_b = 4\n"),
         (["roc"], "\xff[scenario]\n"),
+        (["roc"], "[DEFAULT]\nbeta = 0.5\n"),
         (["quantizer", "-n", "0"], None),
         (["quantizer", "-n", "17"], None),
         (["roc", "--out", "no-such-dir/base"], TINY_INI),
@@ -328,10 +336,11 @@ def test_missing_config_file_rejected(capsys):
         "list_size-0", "quant_bits-3", "rate-K0", "rate-over-N",
         "channel_p-0.7", "channel_p-minus1", "channel_p-1e-6", "channel_p-0.4995",
         "sigma_z2-inf", "alpha-nan",
-        "snr_db-minus-inf", "seed-minus1", "index-minus1", "sweep-quant_bits-3",
+        "snr_db-minus-inf", "alpha-1e300", "sigma_z2-1e308", "power-vanishes",
+        "seed-minus1", "index-minus1", "sweep-quant_bits-3",
         "sweep-quant_bits-inf", "sweep-rate-K0", "sweep-snr_db-5000",
-        "ini-no-section", "ini-duplicate-key", "ini-not-utf8", "quantizer-n0",
-        "quantizer-n17", "out-missing-dir", "quantizer-out-missing-dir",
+        "ini-no-section", "ini-duplicate-key", "ini-not-utf8", "ini-default-section",
+        "quantizer-n0", "quantizer-n17", "out-missing-dir", "quantizer-out-missing-dir",
     ],
 )
 def test_rejected_input_exits_2(argv, ini, tmp_path, capsys):

@@ -7,9 +7,14 @@ well under a millisecond.
 
 import dataclasses
 import json
+import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import csipla.sim
 from csipla.channel import ConfigError, ScenarioConfig, sample_channel
@@ -127,6 +132,40 @@ def test_roc_endpoints_and_monotonicity():
         vals = [r[col] for r in rows]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         assert all(0.0 <= v <= 1.0 for v in vals)
+
+
+# -- measurement power -------------------------------------------------------------
+
+# Log-uniform over the positive floats, from the least subnormal to the largest.
+_MAGNITUDE = st.floats(math.log(5e-324), math.log(sys.float_info.max)).map(math.exp)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    sigma_h2=_MAGNITUDE,
+    sigma_z2=_MAGNITUDE | st.just(0.0),
+    alpha=_MAGNITUDE | st.just(0.0),
+    beta=st.floats(0.0, 1.0),
+    u_interferers=st.integers(0, 3),
+)
+def test_built_scenario_runs_without_float_warning(sigma_h2, sigma_z2, alpha, beta, u_interferers):
+    # A scenario whose measurement power overflows or vanishes is rejected
+    # when built; any other runs with every rate computed from finite powers.
+    try:
+        sc = ScenarioConfig(n_b=4, m_samples=2, sigma_h2=sigma_h2, sigma_z2=sigma_z2,
+                            alpha=alpha, beta=beta, u_interferers=u_interferers)
+    except ConfigError:
+        return
+    sim = Simulator(ExperimentConfig(scenario=sc, code_rate=0.15, trials=4,
+                                     calibration_trials=4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = sim.roc_table()
+        summary = sim.summary()
+    rates = [r[c] for r in rows for c in ("pfa_emp", "pd_emp", "pfa_model", "pd_model")]
+    rates += [summary[c] for c in ("p0", "p1", "pfa_model", "pd_model", "pfa_emp", "pd_emp")]
+    assert all(0.0 <= v <= 1.0 for v in rates)
+    assert csipla.sim._CHANNEL_P_MIN <= summary["channel_p"] <= csipla.sim._CHANNEL_P_MAX
 
 
 # -- trials and batches -----------------------------------------------------------
